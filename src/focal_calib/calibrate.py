@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLAMP_EPS, one_hot, recover_posterior_rows, require_gamma
+from .core import CLAMP_EPS, _focal_terms, one_hot, recover_posterior_rows, require_gamma
 from .errors import DomainError, EmptyDataError
 from .metrics import PredictionSet, ScoreKind
 
@@ -83,9 +83,8 @@ def _objective_value(
 ) -> float:
     probs = apply_temperature(logits, t)
     label_p = np.clip(probs[np.arange(len(labels)), labels - 1], CLAMP_EPS, 1.0)
-    if objective is Objective.NLL:
-        return float(-np.log(label_p).sum())
-    return float(-((1.0 - label_p) ** gamma * np.log(label_p)).sum())
+    g = 0.0 if objective is Objective.NLL else gamma
+    return float(-_focal_terms(label_p, g).sum())
 
 
 def fit_temperature(
@@ -145,9 +144,9 @@ def apply_psi_dataset(preds: PredictionSet, gamma: float) -> PredictionSet:
     """Apply the posterior recovery transform to every probability row.
 
     Labels are untouched and the per-row argmax is preserved, so the
-    error rate cannot change.  Rows are exactly normalized first: file
-    ingestion tolerates a 1e-6 sum defect while the transform itself
-    demands 1e-9.
+    error rate cannot change.  Rows are exactly normalized first: a
+    prediction set tolerates a ``ROW_SUM_TOL`` sum defect while the
+    transform itself demands ``SIMPLEX_TOL``.
     """
     g = require_gamma(gamma)
     if preds.kind is not ScoreKind.PROBABILITIES:

@@ -4,7 +4,6 @@ Subcommands: ``transform``, ``metrics``, ``thresholds``, ``curve``,
 ``ts-fit``, ``synth``, ``verify``; global flags ``--seed``,
 ``--tolerance``, ``--renormalize``.  Exit codes: 0 success, 1
 verification failure, 2 usage error (argparse's default), 3 data error.
-``FOCAL_CALIB_THREADS`` caps internal parallelism (default 1).
 """
 
 from __future__ import annotations
@@ -19,8 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import Objective, apply_psi_dataset, fit_temperature, scale_dataset
-from .core import LossKind, LossSpec, recover_posterior_rows
+from .calibrate import (
+    Objective,
+    apply_psi_dataset,
+    apply_temperature,
+    fit_temperature,
+    scale_dataset,
+)
 from .errors import CalibrationError
 from .io import FileFormat, load_predictions, save_predictions, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
@@ -160,17 +164,6 @@ def _cmd_ts_fit(args) -> int:
     return EXIT_OK
 
 
-class _ScaledModel:
-    """Model wrapper dividing logits by a fixed temperature."""
-
-    def __init__(self, model, temperature: float):
-        self.model = model
-        self.temperature = temperature
-
-    def predict_proba(self, x):
-        return self.model.predict_proba_temperature(x, self.temperature)
-
-
 def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, TrainConfig, dict]:
     dist = default_distribution()
     if {"priors", "means", "sigmas"} & cfg.keys():
@@ -227,29 +220,32 @@ def _cmd_synth(args) -> int:
         (tuple([g] + list(row) + [row.sum()]) for g, row in zip(grid, dist.joint_density(grid))),
     )
 
-    losses = [("ce", LossSpec(LossKind.CROSS_ENTROPY))]
-    losses += [(f"fl{g:g}", LossSpec(LossKind.FOCAL, g)) for g in opt["gammas"]]
+    # (run name, training gamma, whether to add the _ts and _psi variants)
+    runs = [("ce", 0.0, False)] + [(f"fl{g:g}", g, True) for g in opt["gammas"]]
     summary = []
-    for name, loss in losses:
-        config = replace(base_config, loss=loss)
+    for name, gamma, focal in runs:
+        config = replace(base_config, gamma=gamma)
         model, history = train_mlp(x_train, y_train, config, k=dist.k)
         _save_npz_atomic(out_dir / f"model_{name}.npz", model.state())
         write_csv(out_dir / f"loss_{name}.csv", ["epoch", "loss"], enumerate(history, 1))
 
-        # (variant name, scoring model, recovery gamma)
-        variants: list[tuple[str, object, float | None]] = [(f"{name}_raw", model, None)]
-        if loss.kind is LossKind.FOCAL:
+        # (variant name, predict callable, recovery gamma)
+        variants = [(f"{name}_raw", model.predict_proba, None)]
+        if focal:
             x_val, y_val = dist.sample(opt["n_train"], args.seed + 1)
             fit = fit_temperature(
                 PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS),
                 Objective.NLL,
             )
-            variants.append((f"{name}_ts", _ScaledModel(model, fit.temperature), None))
-            variants.append((f"{name}_psi", model, loss.gamma))
+            t = fit.temperature
+            variants.append(
+                (f"{name}_ts", lambda x: apply_temperature(model.predict_logits(x), t), None)
+            )
+            variants.append((f"{name}_psi", model.predict_proba, gamma))
 
-        for variant, scorer, gamma_for_recovery in variants:
+        for variant, predict, gamma_for_recovery in variants:
             panel = evaluate_panel(
-                scorer,
+                predict,
                 dist,
                 grid,
                 test_n=opt["n_test"],
@@ -257,22 +253,17 @@ def _cmd_synth(args) -> int:
                 gamma_for_recovery=gamma_for_recovery,
                 n_bins=opt["bins"],
             )
-            q_grid = scorer.predict_proba(grid)
-            if gamma_for_recovery is not None:
-                q_grid = recover_posterior_rows(
-                    q_grid / q_grid.sum(axis=1, keepdims=True), gamma_for_recovery
-                )
             write_csv(
                 out_dir / f"panel_{variant}.csv",
                 ["x"] + [f"q{i}" for i in range(1, dist.k + 1)],
-                (tuple([g] + list(row)) for g, row in zip(grid, q_grid)),
+                (tuple([g] + list(row)) for g, row in zip(grid, panel.grid_scores)),
             )
             summary.append((variant, panel.err, panel.mean_kld, panel.ece))
             print(f"{variant}: err={panel.err:.4f} kld={panel.mean_kld:.4f} ece={panel.ece:.4f}")
             if args.plot:
                 emit_score_curves_svg(
                     grid,
-                    q_grid,
+                    panel.grid_scores,
                     eta_grid,
                     out_dir / f"panel_{variant}.svg",
                     f"{variant} (ERR={panel.err:.3f} KLD={panel.mean_kld:.3f} "

@@ -13,15 +13,25 @@ curve, the score map, the recovery transform, the two-class shortcut, and
 membership in the transform's fixed-point set (vectors that are uniform
 over their support).
 
-All functions are pure and stateless; they are safe to call concurrently.
-Scores are validated as probability vectors (entries in [0, 1] summing to
-one within ``SIMPLEX_TOL``) and are never renormalized here.
+Each formula is written once and shared by the whole package:
+
+* ``_focal_terms`` is the elementwise focal kernel ``(1 - p)^g * log p``
+  (plain ``log p`` at ``g == 0``).  The losses, the pointwise risk, the
+  training loss and the temperature objective all sum it; each caller
+  clamps its input and returns its ``+inf`` sentinel itself.
+* ``_weight_interior`` is the weight factorization on ``(0, 1)``; the
+  weight curve, the score map, the recovery transform and the inverse
+  risk solver all evaluate it.
+* ``validate_simplex_rows`` is the simplex check for an ``(n, k)`` stack.
+  It names the first bad row, or its file line.  Two tolerances apply:
+  ``ROW_SUM_TOL`` where prediction files and ``PredictionSet`` rows come
+  in, and ``SIMPLEX_TOL`` inside the math.
+
+All functions are pure and stateless.  Scores are never renormalized
+here.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +43,8 @@ from .errors import (
 )
 
 SIMPLEX_TOL = 1e-9
+ROW_SUM_TOL = 1e-6
 CLAMP_EPS = 1e-12
-
-
-class LossKind(enum.Enum):
-    FOCAL = "focal"
-    CROSS_ENTROPY = "cross_entropy"
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """A loss choice for training/evaluation.
-
-    ``FOCAL`` with ``gamma == 0`` evaluates identically to
-    ``CROSS_ENTROPY``; the ``gamma`` field is ignored for cross-entropy.
-    """
-
-    kind: LossKind
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        require_gamma(self.gamma)
-
-    @property
-    def effective_gamma(self) -> float:
-        return 0.0 if self.kind is LossKind.CROSS_ENTROPY else self.gamma
 
 
 def require_gamma(gamma: float) -> float:
@@ -68,7 +55,31 @@ def require_gamma(gamma: float) -> float:
     return g
 
 
-def as_simplex(p, tol: float = SIMPLEX_TOL, line: int | None = None) -> np.ndarray:
+def validate_simplex_rows(rows, tol: float, lines=None) -> np.ndarray:
+    """Check an ``(n, k)`` stack of probability rows; return it as float64.
+
+    Every row must be finite, lie in [0, 1] and sum to one, all within
+    ``tol``.  The first bad row raises ``InvalidSimplexError``: with
+    ``lines`` (the file line of each row) the error carries that line,
+    otherwise the message names the row index.  Values are returned
+    unchanged.
+    """
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise DimensionError(f"expected an (n, k) matrix with k >= 2, got shape {arr.shape}")
+    sums = arr.sum(axis=1)
+    # the negated test also catches NaN and inf sums
+    bad = ~(np.abs(sums - 1.0) <= tol) | (arr.min(axis=1) < -tol) | (arr.max(axis=1) > 1.0 + tol)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        message = f"not a probability vector (sum={sums[i]!r})"
+        if lines is None:
+            raise InvalidSimplexError(f"row {i} is {message}")
+        raise InvalidSimplexError(f"row is {message}", lines[i])
+    return arr
+
+
+def as_simplex(p, tol: float = SIMPLEX_TOL) -> np.ndarray:
     """Validate ``p`` as a probability vector and return it as float64.
 
     Entries must lie in [0, 1] and sum to one, both within ``tol``.
@@ -81,16 +92,8 @@ def as_simplex(p, tol: float = SIMPLEX_TOL, line: int | None = None) -> np.ndarr
         raise DimensionError(
             f"expected a 1-D probability vector with >= 2 entries, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSimplexError("non-finite entry in probability vector", line)
-    if arr.min() < -tol or arr.max() > 1.0 + tol:
-        raise InvalidSimplexError(
-            f"entries outside [0, 1]: min={arr.min():.3e} max={arr.max():.3e}", line
-        )
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        raise InvalidSimplexError(f"entries sum to {total!r}, not 1", line)
-    return np.clip(arr, 0.0, 1.0)
+    validate_simplex_rows(arr[None, :], tol)
+    return arr.clip(0.0, 1.0)
 
 
 def one_hot(y: int, k: int) -> np.ndarray:
@@ -102,6 +105,13 @@ def one_hot(y: int, k: int) -> np.ndarray:
     e = np.zeros(k)
     e[y - 1] = 1.0
     return e
+
+
+def _focal_terms(p: np.ndarray, g: float) -> np.ndarray:
+    # the focal kernel (1 - p)^g * log p; callers clamp p and weight the sum
+    if g == 0.0:
+        return np.log(p)
+    return (1.0 - p) ** g * np.log(p)
 
 
 def focal_loss(u, v, gamma: float, safe: bool = False) -> float:
@@ -118,35 +128,36 @@ def focal_loss(u, v, gamma: float, safe: bool = False) -> float:
     vv = as_simplex(v)
     if uu.size != vv.size:
         raise DimensionError(f"class counts differ: {uu.size} vs {vv.size}")
-    if g == 0.0:
-        return cross_entropy(u, v, safe=safe)
     if safe:
         uu = np.clip(uu, CLAMP_EPS, 1.0)
     active = vv > 0.0
     if np.any(uu[active] == 0.0):
         return float("inf")
-    ua = uu[active]
-    return float(-(vv[active] * (1.0 - ua) ** g * np.log(ua)).sum())
+    return float(-(vv[active] * _focal_terms(uu[active], g)).sum())
 
 
 def cross_entropy(u, v, safe: bool = False) -> float:
     """Cross-entropy ``-sum_i v_i log(u_i)``; the ``gamma == 0`` focal loss."""
-    uu = as_simplex(u)
-    vv = as_simplex(v)
-    if uu.size != vv.size:
-        raise DimensionError(f"class counts differ: {uu.size} vs {vv.size}")
-    if safe:
-        uu = np.clip(uu, CLAMP_EPS, 1.0)
-    active = vv > 0.0
-    if np.any(uu[active] == 0.0):
-        return float("inf")
-    return float(-(vv[active] * np.log(uu[active])).sum())
+    return focal_loss(u, v, 0.0, safe=safe)
 
 
 def _weight_interior(v: np.ndarray, g: float) -> np.ndarray:
-    # v strictly inside (0, 1); factored to cost one pow and one log
-    w = (1.0 - v) ** g
-    return w * (1.0 - g * v * np.log(v) / (1.0 - v))
+    # v strictly inside (0, 1); factored to cost one pow and one log.  The
+    # bracket is formed before the pow so that at most three temporaries
+    # of v's size are alive at once.
+    om = 1.0 - v
+    bracket = 1.0 - g * v * np.log(v) / om
+    return om**g * bracket
+
+
+def _unit_scores(v) -> tuple[np.ndarray, bool]:
+    # v as a 1-D array checked against [0, 1], and whether it was a scalar
+    arr = np.asarray(v, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        raise DomainError(f"score outside [0, 1]: {v!r}")
+    return arr, scalar
 
 
 def confidence_weight(v, gamma: float):
@@ -157,11 +168,7 @@ def confidence_weight(v, gamma: float):
     an array; returns the same shape.
     """
     g = require_gamma(gamma)
-    arr = np.asarray(v, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise DomainError(f"score outside [0, 1]: {v!r}")
+    arr, scalar = _unit_scores(v)
     if g == 0.0:
         out = np.ones_like(arr)
     else:
@@ -181,11 +188,7 @@ def recovery_score(v, gamma: float):
     Identity when ``gamma == 0``.
     """
     g = require_gamma(gamma)
-    arr = np.asarray(v, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise DomainError(f"score outside [0, 1]: {v!r}")
+    arr, scalar = _unit_scores(v)
     if np.any(arr == 1.0):
         raise SingularityError("recovery_score is singular at v == 1")
     if g == 0.0:
@@ -198,6 +201,12 @@ def recovery_score(v, gamma: float):
     return float(out[0]) if scalar else out
 
 
+def _fixed_rows(arr: np.ndarray, tol: float) -> np.ndarray:
+    # rows whose entries are all within tol of 0 or of the row maximum
+    mx = arr.max(axis=1, keepdims=True)
+    return np.all((arr <= tol) | (np.abs(arr - mx) <= tol), axis=1)
+
+
 def is_uniform_on_support(p, tol: float) -> bool:
     """True when every entry is within ``tol`` of 0 or of ``max(p)``.
 
@@ -207,9 +216,23 @@ def is_uniform_on_support(p, tol: float) -> bool:
     """
     if tol < 0.0:
         raise DomainError(f"tol must be >= 0, got {tol}")
-    arr = as_simplex(p)
-    mx = arr.max()
-    return bool(np.all((arr <= tol) | (np.abs(arr - mx) <= tol)))
+    return bool(_fixed_rows(as_simplex(p)[None, :], tol)[0])
+
+
+def _recover_rows(arr: np.ndarray, g: float) -> np.ndarray:
+    # the recovery transform on validated rows already clipped into [0, 1]
+    out = arr.copy()
+    if g == 0.0:
+        return out
+    general = ~_fixed_rows(arr, SIMPLEX_TOL)
+    if np.any(general):
+        sub = arr[general]
+        positive = sub > 0.0
+        scores = np.zeros_like(sub)
+        clipped = np.where(positive, sub, 0.5)
+        scores[positive] = (clipped / _weight_interior(clipped, g))[positive]
+        out[general] = scores / scores.sum(axis=1, keepdims=True)
+    return out
 
 
 def recover_posterior(p, gamma: float) -> np.ndarray:
@@ -223,52 +246,22 @@ def recover_posterior(p, gamma: float) -> np.ndarray:
     support (detected at tolerance ``SIMPLEX_TOL``) are returned verbatim:
     they are fixed points, and the convention extends the transform to
     one-hot inputs where the score map itself is singular.  The argmax
-    (lowest index on ties) is always preserved.
+    (lowest index on ties) is always preserved.  This is the one-row case
+    of :func:`recover_posterior_rows`.
     """
     g = require_gamma(gamma)
-    arr = as_simplex(p)
-    if g == 0.0:
-        return arr.copy()
-    if is_uniform_on_support(arr, SIMPLEX_TOL):
-        return arr.copy()
-    scores = recovery_score(arr, g)
-    return scores / scores.sum()
+    return _recover_rows(as_simplex(p)[None, :], g)[0]
 
 
-def recover_posterior_rows(rows, gamma: float, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Row-wise :func:`recover_posterior` for an ``(n, k)`` stack.
+def recover_posterior_rows(rows, gamma: float) -> np.ndarray:
+    """:func:`recover_posterior` applied to each row of an ``(n, k)`` stack.
 
-    Vectorized equivalent of transforming each row separately: rows that
-    are uniform over their support pass through verbatim, the rest go
-    through the normalized score map.
+    Rows are validated at ``SIMPLEX_TOL``; an invalid row raises
+    ``InvalidSimplexError`` naming its index.
     """
     g = require_gamma(gamma)
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
-        raise DimensionError(f"expected an (n, k) matrix with k >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSimplexError("non-finite entry in probability rows")
-    if arr.size and (arr.min() < -tol or arr.max() > 1.0 + tol):
-        raise InvalidSimplexError("entries outside [0, 1]")
-    sums = arr.sum(axis=1)
-    if arr.size and np.abs(sums - 1.0).max() > tol:
-        bad = int(np.abs(sums - 1.0).argmax())
-        raise InvalidSimplexError(f"row {bad} sums to {sums[bad]!r}, not 1")
-    arr = np.clip(arr, 0.0, 1.0)
-    out = arr.copy()
-    if g == 0.0 or not arr.size:
-        return out
-    mx = arr.max(axis=1, keepdims=True)
-    fixed = np.all((arr <= tol) | (np.abs(arr - mx) <= tol), axis=1)
-    general = ~fixed
-    if np.any(general):
-        sub = arr[general]
-        positive = sub > 0.0
-        scores = np.zeros_like(sub)
-        clipped = np.where(positive, sub, 0.5)
-        scores[positive] = (clipped / _weight_interior(clipped, g))[positive]
-        out[general] = scores / scores.sum(axis=1, keepdims=True)
-    return out
+    arr = validate_simplex_rows(rows, SIMPLEX_TOL)
+    return _recover_rows(np.clip(arr, 0.0, 1.0), g)
 
 
 def recover_binary(q, gamma: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLAMP_EPS, as_simplex
+from .core import CLAMP_EPS, ROW_SUM_TOL, as_simplex, validate_simplex_rows
 from .errors import DimensionError, DomainError, EmptyDataError, InvalidSimplexError
 
 
@@ -28,13 +28,12 @@ class PredictionSet:
     """Per-sample score rows plus 1-based integer labels.
 
     ``scores`` is ``(n, k)``; rows flagged as probabilities must each be a
-    valid probability vector within ``row_tol``.
+    valid probability vector within ``ROW_SUM_TOL``.
     """
 
     scores: np.ndarray
     labels: np.ndarray
     kind: ScoreKind = ScoreKind.PROBABILITIES
-    row_tol: float = 1e-6
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
@@ -51,17 +50,8 @@ class PredictionSet:
             raise InvalidSimplexError("non-finite score entry")
         if self.n and (self.labels.min() < 1 or self.labels.max() > self.k):
             raise DomainError(f"labels must lie in [1..{self.k}]")
-        if self.kind is ScoreKind.PROBABILITIES and self.n:
-            sums = self.scores.sum(axis=1)
-            bad = np.flatnonzero(
-                (np.abs(sums - 1.0) > self.row_tol)
-                | (self.scores.min(axis=1) < -self.row_tol)
-                | (self.scores.max(axis=1) > 1.0 + self.row_tol)
-            )
-            if bad.size:
-                raise InvalidSimplexError(
-                    f"row {bad[0]} is not a probability vector (sum={sums[bad[0]]!r})"
-                )
+        if self.kind is ScoreKind.PROBABILITIES:
+            validate_simplex_rows(self.scores, ROW_SUM_TOL)
 
     @property
     def n(self) -> int:
@@ -72,7 +62,7 @@ class PredictionSet:
         return self.scores.shape[1]
 
     def replace_scores(self, scores: np.ndarray, kind: ScoreKind) -> "PredictionSet":
-        return PredictionSet(scores, self.labels.copy(), kind, self.row_tol)
+        return PredictionSet(scores, self.labels.copy(), kind)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import argmax_lowest, as_simplex, one_hot, require_gamma
+from . import core
+from .core import argmax_lowest, as_simplex, focal_loss, one_hot, require_gamma
 from .errors import ConvergenceError, DimensionError, DomainError
-from .parallel import map_ordered
 
 _INNER_ITERS = 54          # bisection halvings per score-map inversion
 _OUTER_ITERS = 120
@@ -55,32 +55,25 @@ class RiskMinimizerResult:
 
 
 def pointwise_risk(q, eta, gamma: float) -> float:
-    """Expected focal loss of scores ``q`` under true posterior ``eta``."""
-    g = require_gamma(gamma)
-    qq = as_simplex(q)
-    ee = as_simplex(eta)
-    if qq.size != ee.size:
-        raise DimensionError(f"class counts differ: {qq.size} vs {ee.size}")
-    active = ee > 0.0
-    if np.any(qq[active] == 0.0):
-        return float("inf")
-    qa = qq[active]
-    return float(-(ee[active] * (1.0 - qa) ** g * np.log(qa)).sum())
+    """Expected focal loss of scores ``q`` under true posterior ``eta``.
 
-
-def _score_map(v: np.ndarray, g: float) -> np.ndarray:
-    # recovery score for v in (0, 1); factored to one pow + one log
-    w = (1.0 - v) ** g
-    return v / (w * (1.0 - g * v * np.log(v) / (1.0 - v)))
+    The focal loss of ``q`` against the target ``eta``, with its ``+inf``
+    sentinel where ``q`` puts zero mass on a class of positive ``eta``.
+    """
+    return focal_loss(q, eta, gamma)
 
 
 def _invert_score_map(targets: np.ndarray, g: float) -> np.ndarray:
-    """Solve s_g(q) = target per coordinate by bisection on [0, 1)."""
+    """Solve s_g(q) = target per coordinate by bisection on [0, 1).
+
+    The score map is looked up on ``core`` at each call, so the solver
+    always inverts the map that the recovery transform applies.
+    """
     lo = np.zeros_like(targets)
     hi = np.full_like(targets, 1.0 - 1e-12)
     for _ in range(_INNER_ITERS):
         mid = 0.5 * (lo + hi)
-        too_low = _score_map(mid, g) < targets
+        too_low = mid / core._weight_interior(mid, g) < targets
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
     return 0.5 * (lo + hi)
@@ -162,12 +155,12 @@ def project_to_simplex(v) -> np.ndarray:
 
 
 def _risk_value(q: np.ndarray, eta: np.ndarray, g: float) -> float:
-    qc = np.clip(q, _GRAD_EPS, 1.0)
-    return float(-(eta * (1.0 - qc) ** g * np.log(qc)).sum())
+    qc = q.clip(_GRAD_EPS, 1.0)
+    return float(-(eta * core._focal_terms(qc, g)).sum())
 
 
 def _risk_gradient(q: np.ndarray, eta: np.ndarray, g: float) -> np.ndarray:
-    qc = np.clip(q, _GRAD_EPS, 1.0 - _GRAD_EPS)
+    qc = q.clip(_GRAD_EPS, 1.0 - _GRAD_EPS)
     om = 1.0 - qc
     return eta * (g * om ** (g - 1.0) * np.log(qc) - om**g / qc)
 
@@ -263,7 +256,7 @@ def confidence_curve(
         eta[0] = m
         return m, float(minimize_risk_inverse(eta, g).q_star.max())
 
-    return map_ordered(solve, tops)
+    return [solve(m) for m in tops]
 
 
 def preserves_order(q, eta) -> bool:

@@ -13,12 +13,12 @@ bitwise-identical trained weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibrate import softmax
-from .core import LossKind, LossSpec, recover_posterior_rows, require_gamma
+from .core import CLAMP_EPS, _focal_terms, recover_posterior_rows, require_gamma
 from .errors import DimensionError, DivergenceError, DomainError, EmptyDataError
 from .metrics import PredictionSet, ScoreKind, error_rate, ece, kld_rows
 
@@ -79,7 +79,9 @@ def default_distribution() -> SyntheticDistribution:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: LossSpec = field(default_factory=lambda: LossSpec(LossKind.CROSS_ENTROPY))
+    """Training hyperparameters; ``gamma == 0`` trains with cross-entropy."""
+
+    gamma: float = 0.0
     epochs: int = 50
     batch_size: int = 64
     learning_rate: float = 0.01
@@ -89,6 +91,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_gamma(self.gamma)
         if min(self.epochs, self.batch_size, self.hidden) < 1:
             raise DomainError("epochs, batch_size and hidden must be >= 1")
         if self.learning_rate <= 0.0 or self.weight_decay < 0.0:
@@ -142,12 +145,6 @@ class MlpModel:
         """Softmax scores for a batch of scalar inputs; rows sum to one."""
         return softmax(self.predict_logits(x))
 
-    def predict_proba_temperature(self, x, t: float) -> np.ndarray:
-        """Softmax scores with logits divided by temperature ``t``."""
-        if t <= 0.0:
-            raise DomainError(f"temperature must be > 0, got {t!r}")
-        return softmax(self.predict_logits(x) / t)
-
     def state(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name).copy() for name in self.PARAM_NAMES}
 
@@ -157,10 +154,7 @@ class MlpModel:
 
 
 def _loss_rows(label_p: np.ndarray, gamma: float) -> np.ndarray:
-    clamped = np.clip(label_p, 1e-12, 1.0)
-    if gamma == 0.0:
-        return -np.log(clamped)
-    return -((1.0 - label_p) ** gamma) * np.log(clamped)
+    return -_focal_terms(label_p.clip(CLAMP_EPS, 1.0), gamma)
 
 
 def _logit_gradient(probs: np.ndarray, labels0: np.ndarray, gamma: float) -> np.ndarray:
@@ -219,7 +213,7 @@ def train_mlp(x, y, config: TrainConfig, k: int | None = None) -> tuple[MlpModel
     n_classes = k if k is not None else int(ys.max())
     if ys.min() < 1 or ys.max() > n_classes:
         raise DomainError(f"labels must lie in [1..{n_classes}]")
-    gamma = require_gamma(config.loss.effective_gamma)
+    gamma = require_gamma(config.gamma)
 
     model = MlpModel(n_classes, config.hidden, config.seed)
     velocity = [np.zeros_like(p) for p in model.parameters()]
@@ -247,13 +241,13 @@ def train_mlp(x, y, config: TrainConfig, k: int | None = None) -> tuple[MlpModel
     return model, history
 
 
-def grad_check(model: MlpModel, loss: LossSpec, x: float, y: int, step: float = 1e-5) -> float:
+def grad_check(model: MlpModel, gamma: float, x: float, y: int, step: float = 1e-5) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     Perturbs every parameter of the model in place (restoring it), using
-    the single sample ``(x, y)``.
+    the single sample ``(x, y)`` and the focal loss at ``gamma``.
     """
-    gamma = loss.effective_gamma
+    gamma = require_gamma(gamma)
     xb = np.array([[float(x)]])
     yb0 = np.array([int(y) - 1])
     if not 0 <= yb0[0] < model.k:
@@ -284,16 +278,21 @@ def grad_check(model: MlpModel, loss: LossSpec, x: float, y: int, step: float = 
 
 @dataclass(frozen=True)
 class PanelReport:
-    """Error rate, mean grid KLD and test ECE for one model/transform."""
+    """Error rate, mean grid KLD and test ECE for one model/transform.
+
+    ``grid_scores`` holds the scored (and, with a recovery gamma,
+    transformed) rows on the evaluation grid that the KLD averages over.
+    """
 
     err: float
     mean_kld: float
     ece: float
+    grid_scores: np.ndarray
     gamma_for_recovery: float | None = None
 
 
 def evaluate_panel(
-    model,
+    predict,
     dist: SyntheticDistribution,
     grid,
     test_n: int = 10_000,
@@ -301,18 +300,19 @@ def evaluate_panel(
     gamma_for_recovery: float | None = None,
     n_bins: int = 10,
 ) -> PanelReport:
-    """Score a trained model against the analytic posterior.
+    """Score a predictor against the analytic posterior.
 
-    ``model`` needs only a ``predict_proba`` method over scalar inputs.
-    KLD is averaged over ``grid`` against ``dist.posterior``; error rate
-    and ECE come from a fresh test sample.  When ``gamma_for_recovery``
-    is given the scores are passed through the recovery transform first
-    (which cannot change the error rate).
+    ``predict`` maps an array of scalar inputs to ``(n, k)`` probability
+    rows, e.g. ``model.predict_proba`` or ``dist.posterior``.  KLD is
+    averaged over ``grid`` against ``dist.posterior``; error rate and ECE
+    come from a fresh test sample.  When ``gamma_for_recovery`` is given
+    the scores are passed through the recovery transform first (which
+    cannot change the error rate).
     """
     xs = np.asarray(grid, dtype=float)
     x_test, y_test = dist.sample(test_n, seed)
-    q_grid = model.predict_proba(xs)
-    q_test = model.predict_proba(x_test)
+    q_grid = predict(xs)
+    q_test = predict(x_test)
     if gamma_for_recovery is not None:
         g = require_gamma(gamma_for_recovery)
         q_grid = recover_posterior_rows(q_grid / q_grid.sum(axis=1, keepdims=True), g)
@@ -322,15 +322,6 @@ def evaluate_panel(
         err=error_rate(preds),
         mean_kld=float(kld_rows(dist.posterior(xs), q_grid).mean()),
         ece=ece(preds, n_bins),
+        grid_scores=q_grid,
         gamma_for_recovery=gamma_for_recovery,
     )
-
-
-class PosteriorOracle:
-    """A 'model' that returns the analytic posterior itself."""
-
-    def __init__(self, dist: SyntheticDistribution):
-        self.dist = dist
-
-    def predict_proba(self, x) -> np.ndarray:
-        return np.atleast_2d(self.dist.posterior(x))

@@ -14,7 +14,7 @@ resolves it pointwise from the full vector.
 
 No closed forms exist in general, so ``tau_oc`` is found by golden-section
 search and ``tau_uc`` by bisection.  Results are memoized per
-``(gamma, tol)``; the cache is safe for concurrent readers.
+``(gamma, tol)``.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    as_simplex,
-    confidence_weight,
-    is_uniform_on_support,
-    recover_posterior,
-    require_gamma,
-)
+from .core import as_simplex, confidence_weight, recover_posterior, require_gamma
 from .errors import DegenerateError, DomainError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -160,11 +154,7 @@ def confidence_direction(p, gamma: float) -> Direction:
     within ``1e-12`` (fixed points report EXACT).  Unlike
     :func:`confidence_region` this resolves the ambiguous band too.
     """
-    g = require_gamma(gamma)
-    arr = as_simplex(p)
-    if g == 0.0 or is_uniform_on_support(arr, 1e-9):
-        return Direction.EXACT
-    gap = float(arr.max() - recover_posterior(arr, g).max())
+    gap = float(as_simplex(p).max() - recover_posterior(p, gamma).max())
     if gap < -_DIRECTION_EPS:
         return Direction.UNDER
     if gap > _DIRECTION_EPS:
@@ -175,5 +165,7 @@ def confidence_direction(p, gamma: float) -> Direction:
 def weight_curve(gamma: float, grid_size: int = 1001):
     """Sample ``(v, weight)`` pairs on [0, 1] for plotting/export."""
     g = require_gamma(gamma)
+    if grid_size < 1:
+        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
     v = np.linspace(0.0, 1.0, grid_size)
     return v, np.asarray(confidence_weight(v, g))

@@ -22,8 +22,8 @@ from .core import (
     recover_posterior,
     recovery_score,
 )
+from .errors import DomainError
 from .minimizer import minimize_risk_inverse, minimize_risk_pg
-from .parallel import map_ordered
 from .thresholds import Direction, Region, confidence_direction, confidence_region, thresholds
 
 DEFAULT_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
@@ -82,33 +82,23 @@ def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarra
 
 
 def _check_round_trip(rng, gammas, ks, n_random) -> VerifyCheck:
-    cases = [
-        (float(rng.choice(gammas)), _random_simplex(rng, int(rng.choice(ks))))
-        for _ in range(n_random)
-    ]
-
-    def residual(case):
-        gamma, eta = case
+    worst = 0.0
+    for _ in range(n_random):
+        gamma = float(rng.choice(gammas))
+        eta = _random_simplex(rng, int(rng.choice(ks)))
         q_star = minimize_risk_inverse(eta, gamma).q_star
-        return float(np.abs(recover_posterior(q_star, gamma) - eta).max())
-
-    worst = max(map_ordered(residual, cases))
+        worst = max(worst, float(np.abs(recover_posterior(q_star, gamma) - eta).max()))
     return VerifyCheck("recovery_round_trip", n_random, worst, 1e-7, worst < 1e-7)
 
 
 def _check_solver_agreement(rng, gammas, ks, n_random) -> VerifyCheck:
-    cases = [
-        (float(rng.choice(gammas)), _random_simplex(rng, int(rng.choice(ks))))
-        for _ in range(n_random)
-    ]
-
-    def residual(case):
-        gamma, eta = case
+    worst = 0.0
+    for _ in range(n_random):
+        gamma = float(rng.choice(gammas))
+        eta = _random_simplex(rng, int(rng.choice(ks)))
         qi = minimize_risk_inverse(eta, gamma).q_star
         qp = minimize_risk_pg(eta, gamma).q_star
-        return float(np.abs(qi - qp).max())
-
-    worst = max(map_ordered(residual, cases))
+        worst = max(worst, float(np.abs(qi - qp).max()))
     return VerifyCheck("solver_agreement", n_random, worst, 1e-5, worst < 1e-5)
 
 
@@ -295,7 +285,13 @@ def run_verify(
     n_random: int = 200,
     seed: int = 0,
 ) -> VerifyReport:
-    """Run every check; failures are report entries, never exceptions."""
+    """Run every check; failures are report entries, never exceptions.
+
+    Raises ``DomainError`` when ``n_random < 1``: the random checks need
+    at least one sample each.
+    """
+    if n_random < 1:
+        raise DomainError(f"n_random must be >= 1, got {n_random}")
     gammas = tuple(float(g) for g in gamma_list)
     ks = tuple(int(k) for k in k_list)
     rng = np.random.default_rng(seed)

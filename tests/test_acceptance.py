@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from focal_calib import (
-    LossKind,
-    LossSpec,
     MlpModel,
     Objective,
     PredictionSet,
@@ -205,13 +203,13 @@ def test_criterion_09_synthetic_reproduction():
     grid = np.linspace(-6.0, 6.0, 601)
     eta_grid = dist.posterior(grid)
 
-    def run(loss):
-        config = TrainConfig(loss=loss, seed=seed)
+    def run(gamma):
+        config = TrainConfig(gamma=gamma, seed=seed)
         model, _ = train_mlp(x_train, y_train, config, k=dist.k)
         return model
 
-    model_ce = run(LossSpec(LossKind.CROSS_ENTROPY))
-    model_fl = run(LossSpec(LossKind.FOCAL, 5.0))
+    model_ce = run(0.0)
+    model_fl = run(5.0)
 
     kld_ce = float(kld_rows(eta_grid, model_ce.predict_proba(grid)).mean())
     q_grid_fl = model_fl.predict_proba(grid)
@@ -265,7 +263,7 @@ def test_criterion_10_gradient_check():
         for _ in range(20):
             x = float(rng.normal(0.0, 2.0))
             y = int(rng.integers(1, 4))
-            worst = max(worst, grad_check(model, LossSpec(LossKind.FOCAL, gamma), x, y))
+            worst = max(worst, grad_check(model, gamma, x, y))
     ok = worst < 1e-4
     assert _report(10, ok, f"max relative gradient error={worst:.3e}"), worst
 

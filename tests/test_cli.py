@@ -42,6 +42,11 @@ class TestThresholdsCommand:
     def test_gamma_zero_is_data_error(self, capsys):
         assert main(["thresholds", "--gamma", "0"]) == 3
 
+    def test_empty_grid_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["thresholds", "--gamma", "2", "--grid", "0", "--curve-out", str(out)]) == 3
+        assert "grid_size" in capsys.readouterr().err
+
 
 class TestCurveCommand:
     def test_stdout_csv(self, capsys):
@@ -201,11 +206,15 @@ class TestSynthCommand:
         cfg.write_text("epochs = 50\nn_train = 200\nn_test = 500\ngammas = [1.0]\ngrid_n = 21\nhidden = 8\n")
         out_dir = tmp_path / "run"
         code = main(
-            ["synth", "--config", str(cfg), "--set", "epochs=1", "--out", str(out_dir)]
+            ["synth", "--config", str(cfg), "--set", "epochs=1", "--set", "gammas=[0]",
+             "--out", str(out_dir)]
         )
         assert code == 0
         # one epoch means a single row below the header
         assert len((out_dir / "loss_ce.csv").read_text().splitlines()) == 2
+        # a focal run at gamma 0 still gets its temperature and recovery panels
+        for name in ("panel_fl0_raw.csv", "panel_fl0_ts.csv", "panel_fl0_psi.csv"):
+            assert (out_dir / name).exists(), name
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -221,6 +230,10 @@ class TestVerifyCommand:
         code = main(["verify", "--n-random", "20", "--gamma-list", "1", "2", "--k-list", "2", "3", "4"])
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_zero_samples_is_data_error(self, capsys):
+        assert main(["verify", "--n-random", "0"]) == 3
+        assert "n_random" in capsys.readouterr().err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import focal_calib.cli as cli_mod

@@ -226,3 +226,10 @@ class TestRecoverBinary:
     def test_domain_error_at_endpoints(self, q):
         with pytest.raises(DomainError):
             recover_binary(q, 2.0)
+
+
+def test_every_exported_name_resolves():
+    import focal_calib
+
+    missing = [name for name in focal_calib.__all__ if not hasattr(focal_calib, name)]
+    assert missing == []

@@ -90,6 +90,12 @@ class TestJsonlLoading:
         with pytest.raises(ParseError):
             load_predictions(_write(tmp_path, "p.jsonl", '{"label": 1}\n'))
 
+    def test_boolean_label_rejected_with_line(self, tmp_path):
+        text = '{"label": 1, "scores": [0.6, 0.4]}\n{"label": true, "scores": [0.5, 0.5]}\n'
+        with pytest.raises(ParseError) as info:
+            load_predictions(_write(tmp_path, "p.jsonl", text))
+        assert info.value.line == 2
+
     def test_inconsistent_k(self, tmp_path):
         text = '{"label": 1, "scores": [0.6, 0.4]}\n{"label": 1, "scores": [0.2, 0.3, 0.5]}\n'
         with pytest.raises(InconsistentKError):

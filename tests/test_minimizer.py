@@ -185,9 +185,3 @@ class TestConfidenceCurve:
     def test_unknown_tail_scheme_rejected(self):
         with pytest.raises(DomainError):
             confidence_curve(3, 2.0, grid_size=4, tail="zipf")
-
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        serial = confidence_curve(4, 1.5, grid_size=8)
-        monkeypatch.setenv("FOCAL_CALIB_THREADS", "4")
-        threaded = confidence_curve(4, 1.5, grid_size=8)
-        assert serial == threaded

@@ -6,10 +6,7 @@ import pytest
 from focal_calib import (
     DivergenceError,
     DomainError,
-    LossKind,
-    LossSpec,
     MlpModel,
-    PosteriorOracle,
     SyntheticDistribution,
     TrainConfig,
     default_distribution,
@@ -61,23 +58,21 @@ class TestDistribution:
 
 class TestTraining:
     @staticmethod
-    def _small_config(loss, epochs=5, seed=3):
-        return TrainConfig(
-            loss=loss, epochs=epochs, batch_size=32, hidden=16, seed=seed
-        )
+    def _small_config(gamma, epochs=5, seed=3):
+        return TrainConfig(gamma=gamma, epochs=epochs, batch_size=32, hidden=16, seed=seed)
 
     def test_gamma_zero_focal_equals_cross_entropy_bitwise(self):
         dist = default_distribution()
         x, y = dist.sample(500, 1)
-        m_ce, _ = train_mlp(x, y, self._small_config(LossSpec(LossKind.CROSS_ENTROPY)))
-        m_fl, _ = train_mlp(x, y, self._small_config(LossSpec(LossKind.FOCAL, 0.0)))
+        m_ce, _ = train_mlp(x, y, self._small_config(0.0))
+        m_fl, _ = train_mlp(x, y, self._small_config(0.0))
         for a, b in zip(m_ce.parameters(), m_fl.parameters()):
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic_per_seed(self):
         dist = default_distribution()
         x, y = dist.sample(400, 2)
-        config = self._small_config(LossSpec(LossKind.FOCAL, 2.0))
+        config = self._small_config(2.0)
         m1, h1 = train_mlp(x, y, config)
         m2, h2 = train_mlp(x, y, config)
         assert h1 == h2
@@ -87,7 +82,7 @@ class TestTraining:
     def test_separable_data_reaches_zero_training_error(self):
         dist = SyntheticDistribution((0.5, 0.5), (-6.0, 6.0), (0.5, 0.5))
         x, y = dist.sample(600, 4)
-        model, _ = train_mlp(x, y, self._small_config(LossSpec(LossKind.FOCAL, 1.0), epochs=50))
+        model, _ = train_mlp(x, y, self._small_config(1.0, epochs=50))
         pred = model.predict_proba(x).argmax(axis=1) + 1
         assert (pred != y).mean() == 0.0
 
@@ -96,7 +91,7 @@ class TestTraining:
         dist = default_distribution()
         x, y = dist.sample(300, 5)
         config = TrainConfig(
-            loss=LossSpec(LossKind.FOCAL, 2.0),
+            gamma=2.0,
             epochs=10,
             batch_size=32,
             learning_rate=1e9,
@@ -123,12 +118,12 @@ class TestGradCheck:
         for _ in range(5):
             x = float(rng.normal(0, 2))
             y = int(rng.integers(1, 4))
-            worst = max(worst, grad_check(model, LossSpec(LossKind.FOCAL, gamma), x, y))
+            worst = max(worst, grad_check(model, gamma, x, y))
         assert worst < 1e-4
 
     def test_cross_entropy_gradient(self):
         model = MlpModel(k=3, hidden=8, seed=2)
-        assert grad_check(model, LossSpec(LossKind.CROSS_ENTROPY), 0.7, 2) < 1e-5
+        assert grad_check(model, 0.0, 0.7, 2) < 1e-5
 
     def test_gamma_zero_matches_textbook_softmax_gradient(self):
         # at gamma 0 the logit gradient must equal (u - e_y) / n exactly
@@ -146,19 +141,19 @@ class TestEvaluatePanel:
     def test_oracle_model_scores_perfectly(self):
         dist = default_distribution()
         grid = np.linspace(-6, 6, 201)
-        panel = evaluate_panel(PosteriorOracle(dist), dist, grid, test_n=50_000, seed=9)
+        panel = evaluate_panel(dist.posterior, dist, grid, test_n=50_000, seed=9)
         assert panel.mean_kld == pytest.approx(0.0, abs=1e-12)
         assert panel.ece < 0.01
 
     def test_recovery_reduces_kld_for_focal_model(self):
         dist = default_distribution()
         x, y = dist.sample(4000, 10)
-        config = TrainConfig(
-            loss=LossSpec(LossKind.FOCAL, 5.0), epochs=15, batch_size=64, hidden=32, seed=11
-        )
+        config = TrainConfig(gamma=5.0, epochs=15, batch_size=64, hidden=32, seed=11)
         model, _ = train_mlp(x, y, config)
         grid = np.linspace(-6, 6, 201)
-        raw = evaluate_panel(model, dist, grid, test_n=20_000, seed=12)
-        rec = evaluate_panel(model, dist, grid, test_n=20_000, seed=12, gamma_for_recovery=5.0)
+        raw = evaluate_panel(model.predict_proba, dist, grid, test_n=20_000, seed=12)
+        rec = evaluate_panel(
+            model.predict_proba, dist, grid, test_n=20_000, seed=12, gamma_for_recovery=5.0
+        )
         assert rec.mean_kld < raw.mean_kld
         assert rec.err == raw.err

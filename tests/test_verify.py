@@ -3,7 +3,7 @@
 import numpy as np
 
 import focal_calib.core as core
-from focal_calib import run_verify
+from focal_calib import run_verify, thresholds
 
 
 class TestRunVerify:
@@ -38,11 +38,19 @@ class TestRunVerify:
         assert "recovery_round_trip" in table
         assert "PASS" in table
 
-    def test_corrupted_score_map_fails_round_trip(self, monkeypatch):
-        # negative control: replace the score map with the identity and the
-        # recovery round trip must break
-        monkeypatch.setattr(core, "recovery_score", lambda v, gamma: np.asarray(v, float))
-        report = run_verify(n_random=15, seed=4)
-        check = {c.name: c for c in report.checks}["recovery_round_trip"]
-        assert not check.passed
+    def test_corrupted_weight_kernel_fails_checks(self, monkeypatch):
+        # negative control: a constant weight turns the one score map into the
+        # identity for every caller.  The inverse solver and the transform
+        # still agree with each other, but not with the projected-gradient
+        # solver or the two-class closed form, which never use the map.
+        monkeypatch.setattr(core, "_weight_interior", lambda v, g: np.ones_like(v))
+        # the thresholds memo must not keep values from the corrupted curve
+        thresholds.cache_clear()
+        try:
+            report = run_verify(n_random=15, seed=4)
+        finally:
+            thresholds.cache_clear()
+        check = {c.name: c for c in report.checks}
+        assert not check["solver_agreement"].passed
+        assert not check["binary_closed_form"].passed
         assert not report.all_passed
