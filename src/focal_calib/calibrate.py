@@ -144,14 +144,15 @@ def apply_psi_dataset(preds: PredictionSet, gamma: float) -> PredictionSet:
     """Apply the posterior recovery transform to every probability row.
 
     Labels are untouched and the per-row argmax is preserved, so the
-    error rate cannot change.  Rows are exactly normalized first: a
-    prediction set tolerates a ``ROW_SUM_TOL`` sum defect while the
-    transform itself demands ``SIMPLEX_TOL``.
+    error rate cannot change.  Rows are clipped into [0, 1] and exactly
+    normalized first: a prediction set tolerates entries and sums off by
+    ``ROW_SUM_TOL`` while the transform itself demands ``SIMPLEX_TOL``.
     """
     g = require_gamma(gamma)
     if preds.kind is not ScoreKind.PROBABILITIES:
         raise DomainError("the recovery transform applies to probability rows, not logits")
     if g == 0.0:
         return preds.replace_scores(preds.scores.copy(), ScoreKind.PROBABILITIES)
-    rows = preds.scores / preds.scores.sum(axis=1, keepdims=True)
+    rows = preds.scores.clip(0.0, 1.0)
+    rows /= rows.sum(axis=1, keepdims=True)
     return preds.replace_scores(recover_posterior_rows(rows, g), ScoreKind.PROBABILITIES)

@@ -59,20 +59,29 @@ def validate_simplex_rows(rows, tol: float, lines=None) -> np.ndarray:
     """Check an ``(n, k)`` stack of probability rows; return it as float64.
 
     Every row must be finite, lie in [0, 1] and sum to one, all within
-    ``tol``.  The first bad row raises ``InvalidSimplexError``: with
-    ``lines`` (the file line of each row) the error carries that line,
-    otherwise the message names the row index.  Values are returned
-    unchanged.
+    ``tol``.  The first bad row raises ``InvalidSimplexError`` naming the
+    condition it fails: with ``lines`` (the file line of each row) the
+    error carries that line, otherwise the message names the row index.
+    Values are returned unchanged.
     """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise DimensionError(f"expected an (n, k) matrix with k >= 2, got shape {arr.shape}")
     sums = arr.sum(axis=1)
+    lows, highs = arr.min(axis=1), arr.max(axis=1)
     # the negated test also catches NaN and inf sums
-    bad = ~(np.abs(sums - 1.0) <= tol) | (arr.min(axis=1) < -tol) | (arr.max(axis=1) > 1.0 + tol)
+    bad = ~(np.abs(sums - 1.0) <= tol) | (lows < -tol) | (highs > 1.0 + tol)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        message = f"not a probability vector (sum={sums[i]!r})"
+        if not np.isfinite(arr[i]).all():
+            reason = "non-finite entry"
+        elif lows[i] < -tol:
+            reason = f"entry {float(lows[i])!r} below 0"
+        elif highs[i] > 1.0 + tol:
+            reason = f"entry {float(highs[i])!r} above 1"
+        else:
+            reason = f"sum {float(sums[i])!r} differs from 1 by more than {tol:g}"
+        message = f"not a probability vector ({reason})"
         if lines is None:
             raise InvalidSimplexError(f"row {i} is {message}")
         raise InvalidSimplexError(f"row is {message}", lines[i])

@@ -17,6 +17,9 @@ import numpy as np
 from .core import CLAMP_EPS, ROW_SUM_TOL, as_simplex, validate_simplex_rows
 from .errors import DimensionError, DomainError, EmptyDataError, InvalidSimplexError
 
+# score entries binned at once by ``cw_ece``
+_BLOCK_ENTRIES = 1 << 20
+
 
 class ScoreKind(enum.Enum):
     PROBABILITIES = "probabilities"
@@ -113,20 +116,17 @@ def bin_reliability(preds: PredictionSet, n_bins: int) -> BinningReport:
     """Bin samples by top-class confidence and report per-bin statistics."""
     _require_nonempty(_require_probabilities(preds))
     conf = preds.scores.max(axis=1)
-    pred = preds.scores.argmax(axis=1) + 1
-    correct = (pred == preds.labels).astype(float)
-    idx = bin_index(conf, n_bins)
-
-    counts = np.zeros(n_bins)
-    accuracy = np.zeros(n_bins)
-    confidence = np.zeros(n_bins)
-    for j in range(1, n_bins + 1):
-        members = idx == j
-        c = int(members.sum())
-        counts[j - 1] = c
-        if c:
-            accuracy[j - 1] = correct[members].mean()
-            confidence[j - 1] = conf[members].mean()
+    correct = preds.scores.argmax(axis=1) + 1 == preds.labels
+    idx = bin_index(conf, n_bins) - 1
+    counts = np.bincount(idx, minlength=n_bins).astype(float)
+    accuracy = np.bincount(idx, weights=correct, minlength=n_bins)
+    filled = counts > 0
+    accuracy[filled] /= counts[filled]
+    # each bin's confidences, contiguous and in row order, so that their
+    # mean is summed exactly as ``conf[idx == j].mean()`` sums it
+    by_bin = conf[np.argsort(idx.astype(np.min_scalar_type(n_bins)), kind="stable")]
+    members = np.split(by_bin, np.cumsum(counts[:-1]).astype(int))
+    confidence = np.array([m.mean() if m.size else 0.0 for m in members])
     ece = float((counts * np.abs(accuracy - confidence)).sum() / counts.sum())
     return BinningReport(n_bins, counts, accuracy, confidence, ece)
 
@@ -147,15 +147,21 @@ def cw_ece(preds: PredictionSet, n_bins: int = 10) -> float:
     _require_nonempty(_require_probabilities(preds))
     n, k = preds.n, preds.k
     total = 0.0
-    for label in range(1, k + 1):
-        conf_l = preds.scores[:, label - 1]
-        is_l = (preds.labels == label).astype(float)
-        idx = bin_index(conf_l, n_bins)
-        for j in range(1, n_bins + 1):
-            members = idx == j
-            c = int(members.sum())
-            if c:
-                total += (c / n) * abs(is_l[members].mean() - conf_l[members].mean())
+    # class columns are binned a block at a time to bound the temporaries
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, k, step):
+        conf = preds.scores[:, start : start + step]
+        width = conf.shape[1]
+        # bin j of the block's column c is slot c * n_bins + j
+        slot = (bin_index(conf, n_bins) - 1 + n_bins * np.arange(width)).ravel()
+        size = width * n_bins
+        counts = np.bincount(slot, minlength=size)
+        conf_sums = np.bincount(slot, weights=conf.ravel(), minlength=size)
+        is_label = preds.labels[:, None] == np.arange(start + 1, start + width + 1)
+        label_sums = np.bincount(slot, weights=is_label.ravel(), minlength=size)
+        filled = counts > 0
+        c = counts[filled]
+        total += float((c / n * np.abs(label_sums[filled] / c - conf_sums[filled] / c)).sum())
     return total / k
 
 

@@ -108,10 +108,13 @@ def _check_threshold_ordering(gammas) -> VerifyCheck:
     for gamma in gammas:
         pair = thresholds(gamma, 1e-10)
         ordered &= 0.0 < pair.tau_oc < pair.tau_uc < 0.5
+        # the curve's maximum rises above 1 (by 0.017 at gamma = 0.1); a flat
+        # curve would still leave 0 < tau_oc < tau_uc < 0.5 from the solvers
+        ordered &= core.confidence_weight(pair.tau_oc, gamma) > 1.0
         worst = max(worst, abs(core.confidence_weight(pair.tau_uc, gamma) - 1.0))
     return VerifyCheck(
         "threshold_ordering", len(gammas), worst, 1e-9, ordered and worst < 1e-9,
-        detail="0 < tau_oc < tau_uc < 0.5",
+        detail="0 < tau_oc < tau_uc < 0.5, w(tau_oc) > 1",
     )
 
 

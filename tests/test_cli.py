@@ -150,6 +150,20 @@ class TestTransformCommand:
         )
         assert code == 0
 
+    def test_recovery_accepts_rows_within_file_tolerance(self, tmp_path, capsys):
+        # the row sums to 1 and its negative entry is within ROW_SUM_TOL, so
+        # the file loads; the transform must take it too
+        src = tmp_path / "edge.csv"
+        src.write_text("label,s1,s2,s3\n1,0.6000005,0.4,-0.0000005\n")
+        out = tmp_path / "edge_psi.csv"
+        assert main(["transform", "--input", str(src), "--output", str(out), "--psi", "2"]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "label,s1,s2,s3"
+        scores = np.array([float(v) for v in row.split(",")[1:]])
+        assert np.isfinite(scores).all()
+        assert abs(scores.sum() - 1.0) < 1e-12
+        assert int(np.argmax(scores)) == 0
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["transform", "--input", "x.csv"])  # missing --output

@@ -23,6 +23,7 @@ from focal_calib import (
     recover_posterior_rows,
     recovery_score,
 )
+from focal_calib.core import validate_simplex_rows
 
 GAMMAS = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
 
@@ -57,6 +58,26 @@ class TestSimplexValidation:
         # an exact-1 entry plus non-negligible mass elsewhere is not a simplex
         with pytest.raises(InvalidSimplexError):
             as_simplex([1.0, 0.1])
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ([0.5, 0.4], "(sum 0.9 differs from 1 by more than 1e-09)"),
+            ([1.2, -0.2], "(entry -0.2 below 0)"),
+            ([1.5, 0.0], "(entry 1.5 above 1)"),
+            ([np.nan, 1.0], "(non-finite entry)"),
+            ([np.inf, 0.0], "(non-finite entry)"),
+        ],
+    )
+    def test_message_names_the_failed_condition(self, row, reason):
+        rows = np.array([[0.5, 0.5], row])
+        with pytest.raises(InvalidSimplexError) as info:
+            validate_simplex_rows(rows, 1e-9)
+        assert str(info.value) == f"row 1 is not a probability vector {reason}"
+        with pytest.raises(InvalidSimplexError) as info:
+            validate_simplex_rows(rows, 1e-9, [4, 7])
+        assert info.value.line == 7
+        assert str(info.value) == f"line 7: row is not a probability vector {reason}"
 
 
 class TestFocalLoss:

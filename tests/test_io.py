@@ -1,8 +1,17 @@
 """Prediction-file parsing, emission, round trips, SVG output."""
 
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import focal_calib.io as fio
 from focal_calib import (
     FileFormat,
     InconsistentKError,
@@ -129,6 +138,259 @@ class TestRoundTrips:
         save_predictions(preds, p1)
         save_predictions(load_predictions(p1), p2)
         assert p1.read_text() == p2.read_text()
+
+
+H2 = "label,s1,s2\n"
+H10 = "label," + ",".join(f"s{i}" for i in range(1, 11)) + "\n"
+TENTHS = ",0.1" * 10
+
+# files that probe the edges of the accepted syntax; the vectorized pass
+# must give what the line-by-line parser gives, or leave them to it
+CSV_CORPUS = {
+    "plain": H2 + "1,0.7,0.3\n2,0.25,0.75\n",
+    "no_final_newline": H2 + "1,0.7,0.3\n2,0.25,0.75",
+    "blank_lines": H2 + "\n1,0.7,0.3\n\n\n2,0.25,0.75\n\n",
+    "whitespace_line": H2 + "1,0.7,0.3\n  \n2,0.25,0.75\n",
+    "tab_line": H2 + "1,0.7,0.3\n\t\n",
+    "hash_line": H2 + "# a comment\n1,0.7,0.3\n",
+    "hash_after_row": H2 + "1,0.7,0.3 # trailing\n",
+    "crlf": "label,s1,s2\r\n1,0.7,0.3\r\n2,0.25,0.75\r\n",
+    "crlf_blank": "label,s1,s2\r\n1,0.7,0.3\r\n\r\n2,0.25,0.75\r\n",
+    "lone_cr": H2 + "1,0.7,0.3\r2,0.25,0.75\n",
+    "cr_in_header": "label,s1,\rs2\n1,0.7,0.3\n",
+    "cr_header_end": "label,s1,s2\r1,0.7,0.3\n",
+    "padded_fields": H2 + " 1 ,\t0.7 , 0.3\t\n2,  0.25,0.75  \n",
+    "padded_header": " label , s1 ,s2\t\n1,0.7,0.3\n",
+    "quoted_header": '"label",s1,s2\n1,0.7,0.3\n',
+    "quoted_label": H2 + '"1",0.7,0.3\n',
+    "quoted_score": H2 + '1,"0.7",0.3\n',
+    "plus_label": H2 + "+1,0.7,0.3\n",
+    "zero_padded_label": H2 + "01,0.7,0.3\n",
+    "float_label": H2 + "1.0,0.7,0.3\n",
+    "underscore_label": H10 + "1_0" + TENTHS + "\n",
+    "arabic_label": H2 + "\u0661,0.7,0.3\n",
+    "huge_label": H2 + "99999999999999999999,0.7,0.3\n",
+    "zero_label": H2 + "0,0.7,0.3\n",
+    "label_above_k": H2 + "3,0.7,0.3\n",
+    "dot_and_exponent": H2 + "1,.5,5E-1\n",
+    "nan_score": H2 + "1,nan,0.3\n",
+    "inf_score": H2 + "1,inf,0.3\n",
+    "neg_inf_logit": H2 + "1,-inf,0.3\n",
+    "empty_score": H2 + "1,,0.3\n",
+    "underscore_score": H2 + "1,0.7,0_3\n",
+    "text_score": H2 + "1,abc,0.3\n",
+    "trailing_comma": H2 + "1,0.7,0.3,\n",
+    "ragged": H2 + "1,0.7,0.3\n1,0.2,0.3,0.5\n",
+    "short_row": H2 + "1,0.7\n",
+    "header_only": H2,
+    "header_and_blanks": H2 + "\n\n",
+    "empty_file": "",
+    "one_class_header": "label,s1\n1,1.0\n",
+    "bad_header": "label,a,b\n1,0.5,0.5\n",
+    "bad_sum": H2 + "1,0.7,0.3\n1,0.5,0.3\n",
+    "negative_entry": H2 + "1,1.2,-0.2\n",
+    "within_tolerance": H2 + "1,0.6000005,0.4\n2,1.0000004,-0.0000004\n",
+    "zero_row": H2 + "1,0,0\n",
+    "logit_row": H2 + "1,2.5,-1.0\n",
+    "negative_zero": H2 + "1,-0,1\n",
+    "subnormal": H2 + "1,5e-324,1\n",
+}
+
+JSONL_CORPUS = {
+    "plain": '{"label": 1, "scores": [0.7, 0.3]}\n{"label": 2, "scores": [0.25, 0.75]}\n',
+    "compact": '{"label":1,"scores":[0.7,0.3]}',
+    "key_order": '{"scores": [0.7, 0.3], "label": 1}\n',
+    "blank_lines": '\n{"label": 1, "scores": [0.7, 0.3]}\n  \n\t\n',
+    "crlf": '{"label": 1, "scores": [0.7, 0.3]}\r\n{"label": 2, "scores": [0.25, 0.75]}\r\n',
+    "cr_inside": '{"label": 1,\r "scores": [0.7, 0.3]}\n',
+    "form_feed": '{"label": 1, "scores": [0.7, 0.3]}\x0c{"label": 2, "scores": [0.5, 0.5]}\n',
+    "line_separator": '{"label": 1, "scores": [0.7, 0.3]}\u2028\n',
+    "string_scores": '{"label": 1, "scores": ["0.7", "0.3"]}\n',
+    "underscored_string_score": '{"label": 1, "scores": ["0_7", 0.3]}\n',
+    "string_label": '{"label": "1", "scores": [0.7, 0.3]}\n',
+    "float_label": '{"label": 1.0, "scores": [0.7, 0.3]}\n',
+    "fractional_label": '{"label": 1.5, "scores": [0.7, 0.3]}\n',
+    "bool_label": '{"label": true, "scores": [0.7, 0.3]}\n',
+    "null_label": '{"label": null, "scores": [0.7, 0.3]}\n',
+    "huge_label": '{"label": 100000000000000000000000, "scores": [0.7, 0.3]}\n',
+    "zero_label": '{"label": 0, "scores": [0.7, 0.3]}\n',
+    "bool_scores": '{"label": 1, "scores": [true, false]}\n',
+    "int_scores": '{"label": 2, "scores": [0, 1]}\n',
+    "null_score": '{"label": 1, "scores": [null, 0.3]}\n',
+    "nested_score": '{"label": 1, "scores": [[0.7], 0.3]}\n',
+    "object_score": '{"label": 1, "scores": [{}, 0.3]}\n',
+    "big_int_scores": '{"label": 1, "scores": [9007199254740993, -18446744073709551617]}\n',
+    "huge_int_score": '{"label": 1, "scores": [1' + "0" * 400 + ', 0]}\n',
+    "nan_score": '{"label": 1, "scores": [NaN, 0.3]}\n',
+    "inf_score": '{"label": 1, "scores": [Infinity, 0.3]}\n',
+    "overflow_score": '{"label": 1, "scores": [1e400, 0.3]}\n',
+    "ragged": '{"label": 1, "scores": [0.7, 0.3]}\n{"label": 1, "scores": [0.2, 0.3, 0.5]}\n',
+    "short_then_long": '{"label": 1, "scores": [1.0]}\n{"label": 1, "scores": [0.7, 0.3]}\n',
+    "scores_not_list": '{"label": 1, "scores": {"a": 1}}\n',
+    "missing_scores": '{"label": 1}\n',
+    "top_level_list": '[1, [0.7, 0.3]]\n',
+    "extra_string_field": '{"label": 1, "scores": [0.7, 0.3], "id": "a"}\n',
+    "extra_number_field": '{"label": 1, "scores": [0.7, 0.3], "w": 2}\n',
+    "bad_json": '{"label": 1, "scores": [0.7, 0.3]}\n{oops\n',
+    "trailing_garbage": '{"label": 1, "scores": [0.7, 0.3]} x\n',
+    "bom": '\ufeff{"label": 1, "scores": [0.7, 0.3]}\n',
+    "empty_file": "",
+    "blank_file": "\n \n",
+    "bad_sum": '{"label": 1, "scores": [0.7, 0.3]}\n{"label": 1, "scores": [0.5, 0.3]}\n',
+    "negative_entry": '{"label": 1, "scores": [1.2, -0.2]}\n',
+    "zero_row": '{"label": 1, "scores": [0, 0]}\n',
+    "logit_row": '{"label": 1, "scores": [2.5, -1.0]}\n',
+    "negative_zero": '{"label": 1, "scores": [-0.0, 1.0]}\n',
+    "bad_utf8": '{"label": 1, "scores": [0.7, 0.3]}\n' * 400 + "\udcff\n",
+}
+CSV_CORPUS["bad_utf8"] = H2 + "1,0.7,0.3\n" * 1000 + "1,0.7,\udcff\n"
+
+LOAD_MODES = [
+    (ScoreKind.PROBABILITIES, False),
+    (ScoreKind.PROBABILITIES, True),
+    (ScoreKind.LOGITS, False),
+]
+
+
+def _outcome(load, *args):
+    """What a load gives: the arrays bit for bit, or the error in full."""
+    try:
+        preds = load(*args)
+    except Exception as exc:  # the reference may raise anything; compare it
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return ("ok", preds.kind, preds.labels.tolist(), preds.scores.shape, preds.scores.tobytes())
+
+
+def _corpus_cases():
+    for fmt, corpus in ((FileFormat.CSV, CSV_CORPUS), (FileFormat.JSONL, JSONL_CORPUS)):
+        for name, text in corpus.items():
+            yield pytest.param(fmt, text, id=f"{fmt.value}-{name}")
+
+
+class TestVectorizedPass:
+    @pytest.mark.parametrize("fmt, text", _corpus_cases())
+    @pytest.mark.parametrize("kind, renormalize", LOAD_MODES)
+    def test_matches_line_by_line_parser(self, tmp_path, fmt, text, kind, renormalize):
+        path = tmp_path / f"p.{fmt.value}"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        expected = _outcome(fio._load_by_line, path, fmt, kind, renormalize)
+        assert _outcome(load_predictions, path, fmt, kind, renormalize) == expected
+
+    @pytest.mark.parametrize(
+        "fmt, name",
+        [(FileFormat.CSV, n) for n in (
+            "plain", "no_final_newline", "blank_lines", "crlf", "crlf_blank",
+            "padded_fields", "padded_header", "plus_label", "dot_and_exponent",
+            "within_tolerance", "negative_zero", "subnormal",
+        )]
+        + [(FileFormat.JSONL, n) for n in (
+            "plain", "compact", "key_order", "blank_lines", "crlf", "bool_scores",
+            "int_scores", "negative_zero",
+        )],
+    )
+    def test_plain_files_take_one_pass(self, tmp_path, fmt, name):
+        corpus = CSV_CORPUS if fmt is FileFormat.CSV else JSONL_CORPUS
+        path = tmp_path / f"p.{fmt.value}"
+        path.write_bytes(corpus[name].encode())
+        with mock.patch.object(fio, "_load_by_line", side_effect=AssertionError("fell back")):
+            load_predictions(path, fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, name",
+        [(FileFormat.CSV, n) for n in (
+            "quoted_label", "quoted_score", "quoted_header", "underscore_label",
+            "hash_line", "whitespace_line", "float_label", "nan_score", "inf_score",
+            "header_only", "cr_in_header", "cr_header_end", "zero_label",
+            "bad_sum",
+        )]
+        + [(FileFormat.JSONL, n) for n in (
+            "string_scores", "string_label", "float_label", "bool_label", "ragged",
+            "nan_score", "extra_string_field", "extra_number_field", "cr_inside",
+            "form_feed", "bad_sum",
+        )],
+    )
+    def test_other_files_go_to_line_by_line_parser(self, tmp_path, fmt, name):
+        corpus = CSV_CORPUS if fmt is FileFormat.CSV else JSONL_CORPUS
+        path = tmp_path / f"p.{fmt.value}"
+        path.write_bytes(corpus[name].encode())
+        sentinel = PredictionSet(np.array([[0.5, 0.5]]), np.array([1]))
+        with mock.patch.object(fio, "_load_by_line", return_value=sentinel) as reference:
+            assert load_predictions(path, fmt) is sentinel
+        reference.assert_called_once()
+
+
+def _reference_text(preds, fmt):
+    """The emitter's output as written one value at a time with format()."""
+    if fmt is FileFormat.CSV:
+        lines = ["label," + ",".join(f"s{i}" for i in range(1, preds.k + 1))]
+        lines += [
+            ",".join([str(int(label))] + [format(float(v), ".17g") for v in row])
+            for label, row in zip(preds.labels, preds.scores)
+        ]
+    else:
+        lines = [
+            json.dumps(
+                {"label": int(label), "scores": [float(format(float(v), ".17g")) for v in row]}
+            )
+            for label, row in zip(preds.labels, preds.scores)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+ONE_ULP_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e-17, ONE_ULP_BELOW_ONE]
+
+
+@st.composite
+def prediction_sets(draw):
+    k = draw(st.sampled_from([2, 1000]))
+    n = draw(st.integers(1, 3))
+    labels = np.array(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+        scores = draw(hnp.arrays(np.float64, (n, k), elements=values))
+        return PredictionSet(scores, labels, ScoreKind.LOGITS)
+    rows = []
+    for _ in range(n):
+        row = np.full(k, draw(st.sampled_from([0.0, -0.0])))
+        tail = draw(
+            st.lists(
+                st.one_of(st.sampled_from(EDGE_VALUES[:6]), st.floats(0.0, 0.4)),
+                max_size=min(k - 1, 4),
+            )
+        )
+        cols = draw(st.permutations(range(k)))
+        row[cols[1 : 1 + len(tail)]] = tail
+        top = 1.0 - sum(tail)
+        row[cols[0]] = ONE_ULP_BELOW_ONE if top == 1.0 else top
+        rows.append(row)
+    return PredictionSet(np.array(rows), labels)
+
+
+class TestRoundTripProperty:
+    @given(prediction_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_is_exact_in_both_formats(self, preds):
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in FileFormat:
+                first = Path(tmp) / f"a.{fmt.value}"
+                second = Path(tmp) / f"b.{fmt.value}"
+                save_predictions(preds, first)
+                assert first.read_text() == _reference_text(preds, fmt)
+                with mock.patch.object(fio, "_load_by_line", side_effect=AssertionError):
+                    loaded = load_predictions(first, kind=preds.kind)
+                assert loaded.scores.tobytes() == preds.scores.tobytes()
+                np.testing.assert_array_equal(loaded.labels, preds.labels)
+                save_predictions(loaded, second)
+                assert second.read_bytes() == first.read_bytes()
+
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_empty_set_writes_reference_text(self, tmp_path, fmt):
+        preds = PredictionSet(np.empty((0, 3)), np.empty(0, dtype=int))
+        path = tmp_path / f"empty.{fmt.value}"
+        save_predictions(preds, path)
+        assert path.read_text() == _reference_text(preds, fmt)
 
 
 class TestReliabilitySvg:

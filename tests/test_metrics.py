@@ -78,6 +78,26 @@ class TestBinReliability:
         report = bin_reliability(_preds(scores, labels), 10)
         assert report.recompute_ece() == report.ece
 
+    @pytest.mark.parametrize("n_bins", [1, 7, 10, 300])
+    def test_bins_match_masked_means_bit_for_bit(self, n_bins):
+        # the reliability CSV prints 17 digits, so each bin's mean must be
+        # summed exactly as a masked mean sums it
+        rng = np.random.default_rng(n_bins)
+        scores = rng.dirichlet(np.full(4, 0.3), size=5000)
+        labels = rng.integers(1, 5, size=5000)
+        report = bin_reliability(_preds(scores, labels), n_bins)
+        conf = scores.max(axis=1)
+        correct = (scores.argmax(axis=1) + 1 == labels).astype(float)
+        idx = bin_index(conf, n_bins)
+        for j in range(n_bins):
+            members = idx == j + 1
+            assert report.counts[j] == members.sum()
+            if members.any():
+                assert report.accuracy[j] == correct[members].mean()
+                assert report.confidence[j] == conf[members].mean()
+            else:
+                assert report.accuracy[j] == 0.0 and report.confidence[j] == 0.0
+
     def test_empty_dataset(self):
         preds = PredictionSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(EmptyDataError):
@@ -106,6 +126,24 @@ class TestClasswiseEce:
         scores = np.tile([0.75, 0.25], (4, 1))
         labels = np.array([1, 1, 1, 2])
         assert cw_ece(_preds(scores, labels), 1) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n, k", [(400, 3), (600, 2000), (3, 1000)])
+    def test_matches_per_class_loop(self, n, k):
+        # n * k above the block size bins the class columns in several blocks
+        rng = np.random.default_rng(k)
+        scores = rng.dirichlet(np.full(k, 0.5), size=n)
+        labels = rng.integers(1, k + 1, size=n)
+        total = 0.0
+        for label in range(1, k + 1):
+            conf = scores[:, label - 1]
+            is_label = (labels == label).astype(float)
+            idx = bin_index(conf, 10)
+            for j in range(1, 11):
+                members = idx == j
+                if members.any():
+                    gap = is_label[members].mean() - conf[members].mean()
+                    total += members.sum() / n * abs(gap)
+        assert cw_ece(_preds(scores, labels), 10) == pytest.approx(total / k, rel=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(4)

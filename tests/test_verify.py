@@ -53,4 +53,5 @@ class TestRunVerify:
         check = {c.name: c for c in report.checks}
         assert not check["solver_agreement"].passed
         assert not check["binary_closed_form"].passed
+        assert not check["threshold_ordering"].passed
         assert not report.all_passed
