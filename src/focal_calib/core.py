@@ -16,12 +16,20 @@ over their support).
 Each formula is written once and shared by the whole package:
 
 * ``_focal_terms`` is the elementwise focal kernel ``(1 - p)^g * log p``
-  (plain ``log p`` at ``g == 0``).  The losses, the pointwise risk, the
+  (plain ``log p`` at ``g == 0``).  The losses, the risk solvers, the
   training loss and the temperature objective all sum it; each caller
   clamps its input and returns its ``+inf`` sentinel itself.
-* ``_weight_interior`` is the weight factorization on ``(0, 1)``; the
-  weight curve, the score map, the recovery transform and the inverse
-  risk solver all evaluate it.
+* ``_log_score`` is the one score map, in the log domain:
+
+      log s_g(v) = log v - g log1p(-v) - log1p(g v (-log v) / (1 - v)).
+
+  The last term's argument lies in [0, g], so the map stays finite for
+  every ``v`` strictly inside (0, 1), at any ``g``, where ``(1 - v)^g``
+  itself underflows.  ``recovery_score`` takes its ``exp``, the recovery
+  transform normalizes it row by row, and the inverse risk solver
+  (``minimizer.minimize_risk_inverse``) runs Newton's method on it.
+* ``_weight_interior`` is the weight factorization on ``(0, 1)``.  It
+  serves only the weight curve and, through it, the thresholds.
 * ``validate_simplex_rows`` is the simplex check for an ``(n, k)`` stack.
   It names the first bad row, or its file line.  Two tolerances apply:
   ``ROW_SUM_TOL`` where prediction files and ``PredictionSet`` rows come
@@ -45,6 +53,7 @@ from .errors import (
 SIMPLEX_TOL = 1e-9
 ROW_SUM_TOL = 1e-6
 CLAMP_EPS = 1e-12
+_BLOCK = 1 << 16           # entries per block of the row-wise recovery
 
 
 def require_gamma(gamma: float) -> float:
@@ -145,11 +154,6 @@ def focal_loss(u, v, gamma: float, safe: bool = False) -> float:
     return float(-(vv[active] * _focal_terms(uu[active], g)).sum())
 
 
-def cross_entropy(u, v, safe: bool = False) -> float:
-    """Cross-entropy ``-sum_i v_i log(u_i)``; the ``gamma == 0`` focal loss."""
-    return focal_loss(u, v, 0.0, safe=safe)
-
-
 def _weight_interior(v: np.ndarray, g: float) -> np.ndarray:
     # v strictly inside (0, 1); factored to cost one pow and one log.  The
     # bracket is formed before the pow so that at most three temporaries
@@ -157,6 +161,12 @@ def _weight_interior(v: np.ndarray, g: float) -> np.ndarray:
     om = 1.0 - v
     bracket = 1.0 - g * v * np.log(v) / om
     return om**g * bracket
+
+
+def _log_score(v: np.ndarray, g: float) -> np.ndarray:
+    # log s_g(v) for v strictly inside (0, 1); see the module docstring
+    log_v = np.log(v)
+    return log_v - g * np.log1p(-v) - np.log1p(g * v * -log_v / (1.0 - v))
 
 
 def _unit_scores(v) -> tuple[np.ndarray, bool]:
@@ -205,8 +215,7 @@ def recovery_score(v, gamma: float):
     else:
         out = np.zeros_like(arr)
         interior = arr > 0.0
-        vi = arr[interior]
-        out[interior] = vi / _weight_interior(vi, g)
+        out[interior] = np.exp(_log_score(arr[interior], g))
     return float(out[0]) if scalar else out
 
 
@@ -228,20 +237,28 @@ def is_uniform_on_support(p, tol: float) -> bool:
     return bool(_fixed_rows(as_simplex(p)[None, :], tol)[0])
 
 
-def _recover_rows(arr: np.ndarray, g: float) -> np.ndarray:
-    # the recovery transform on validated rows already clipped into [0, 1]
-    out = arr.copy()
+def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
+    # the recovery transform, in place, on a fresh copy of validated rows
+    # clipped into [0, 1].  Blocks of about _BLOCK entries keep the
+    # temporaries small; each row is shifted by its largest log score
+    # before the exp, so no row under- or overflows.
     if g == 0.0:
-        return out
-    general = ~_fixed_rows(arr, SIMPLEX_TOL)
-    if np.any(general):
-        sub = arr[general]
+        return rows
+    step = max(1, _BLOCK // rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        general = ~_fixed_rows(block, SIMPLEX_TOL)
+        if not general.any():
+            continue
+        sub = block[general]
         positive = sub > 0.0
-        scores = np.zeros_like(sub)
-        clipped = np.where(positive, sub, 0.5)
-        scores[positive] = (clipped / _weight_interior(clipped, g))[positive]
-        out[general] = scores / scores.sum(axis=1, keepdims=True)
-    return out
+        logs = np.full_like(sub, -np.inf)
+        logs[positive] = _log_score(sub[positive], g)
+        logs -= logs.max(axis=1, keepdims=True)
+        scores = np.exp(logs, out=logs)
+        scores /= scores.sum(axis=1, keepdims=True)
+        block[general] = scores
+    return rows
 
 
 def recover_posterior(p, gamma: float) -> np.ndarray:
@@ -249,7 +266,10 @@ def recover_posterior(p, gamma: float) -> np.ndarray:
 
     Computes ``recovery_score`` entrywise and normalizes:
 
-        out_i = s_g(p_i) / sum_l s_g(p_l).
+        out_i = s_g(p_i) / sum_l s_g(p_l),
+
+    in the log domain, so that a score too close to 1 for ``s_g`` itself
+    to be finite still gives a finite posterior.  Zero entries stay 0.
 
     Identity when ``gamma == 0``.  Vectors that are uniform over their
     support (detected at tolerance ``SIMPLEX_TOL``) are returned verbatim:

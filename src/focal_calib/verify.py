@@ -6,7 +6,8 @@ suite is the machine-checkable form of the guarantees the library rests
 on: the recovery round trip, agreement of the two independent risk
 minimizers, threshold ordering, the guaranteed over/underconfidence
 regions, fixed points, argmax preservation, the shape of the weight
-curve, and monotonicity of the score map.
+curve, monotonicity of the score map, and a finite, normalized recovery
+at large ``gamma``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     is_uniform_on_support,
     recover_binary,
     recover_posterior,
+    recover_posterior_rows,
     recovery_score,
 )
 from .errors import DomainError
@@ -179,6 +181,35 @@ def _check_binary_closed_form(rng, gammas, n_random) -> VerifyCheck:
     )
 
 
+def _check_large_gamma_recovery() -> VerifyCheck:
+    """Recovery where ``(1 - v)^g`` underflows stays a posterior.
+
+    Rows ``[top, tail...]`` with a uniform tail must come back finite,
+    summing to 1 within 1e-12 with the argmax kept, and at k = 2 equal to
+    the two-class closed form within 1e-10.
+    """
+    tops = np.array([0.9, 0.9999, 1.0 - 1e-8])
+    ok = True
+    worst_sum = worst_binary = 0.0
+    for gamma in (50.0, 100.0, 300.0, 1000.0):
+        for k in (2, 10, 1000):
+            rows = np.repeat(((1.0 - tops) / (k - 1))[:, None], k, axis=1)
+            rows[:, 0] = tops
+            out = recover_posterior_rows(rows, gamma)
+            if not (np.isfinite(out).all() and (out.argmax(axis=1) == 0).all()):
+                ok = False
+                continue
+            worst_sum = max(worst_sum, float(np.abs(out.sum(axis=1) - 1.0).max()))
+            if k == 2:
+                for top, got in zip(tops, out[:, 0]):
+                    worst_binary = max(worst_binary, abs(recover_binary(top, gamma) - float(got)))
+    ok = ok and worst_sum <= 1e-12 and worst_binary <= 1e-10
+    return VerifyCheck(
+        "large_gamma_recovery", 36, max(worst_sum, worst_binary), 1e-10, ok,
+        detail="gamma 50..1000, top up to 1-1e-8, k up to 1000; k=2 closed form",
+    )
+
+
 def _check_fixed_points(rng, ks, gammas, n_random) -> VerifyCheck:
     worst = 0.0
     for _ in range(n_random):
@@ -305,6 +336,7 @@ def run_verify(
         _check_region_consistency(rng, gammas, ks, max(20, n_random // 4)),
         _check_high_confidence_underestimates(rng, gammas, ks, n_random),
         _check_binary_closed_form(rng, gammas, n_random),
+        _check_large_gamma_recovery(),
         _check_fixed_points(rng, ks, gammas, n_random),
         _check_argmax_preserved(rng, ks, gammas, n_random),
         _check_order_preserving(rng, gammas, ks, max(20, n_random // 4)),

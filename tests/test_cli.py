@@ -164,6 +164,23 @@ class TestTransformCommand:
         assert abs(scores.sum() - 1.0) < 1e-12
         assert int(np.argmax(scores)) == 0
 
+    def test_recovery_at_large_gamma_near_one(self, tmp_path):
+        # (1 - v)^100 underflows for these tops; the log-domain transform
+        # must still return finite rows that keep the argmax and top
+        rows = ["label,s1,s2,s3,s4"]
+        for top in (0.999, 0.9995, 0.9999):
+            rest = (1.0 - top) / 3
+            rows.append(f"1,{top!r},{rest!r},{rest!r},{rest!r}")
+        src = tmp_path / "near_one.csv"
+        src.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "near_one_psi.csv"
+        assert main(["transform", "--input", str(src), "--output", str(out), "--psi", "100"]) == 0
+        scores = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        assert np.isfinite(scores).all()
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert (scores.argmax(axis=1) == 0).all()
+        assert (scores[:, 0] >= np.array([0.999, 0.9995, 0.9999])).all()
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["transform", "--input", "x.csv"])  # missing --output

@@ -14,7 +14,6 @@ from focal_calib import (
     SingularityError,
     as_simplex,
     confidence_weight,
-    cross_entropy,
     focal_loss,
     is_uniform_on_support,
     one_hot,
@@ -23,6 +22,7 @@ from focal_calib import (
     recover_posterior_rows,
     recovery_score,
 )
+from focal_calib import core
 from focal_calib.core import validate_simplex_rows
 
 GAMMAS = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
@@ -87,11 +87,16 @@ class TestFocalLoss:
 
     def test_gamma_zero_is_cross_entropy_value(self):
         assert focal_loss([0.5, 0.5], [1, 0], 0.0) == pytest.approx(math.log(2), abs=1e-12)
+        assert focal_loss([1, 0], [1, 0], 0.0) == 0.0
+        assert focal_loss([0.25, 0.75], [0, 1], 0.0) == pytest.approx(-math.log(0.75), abs=1e-15)
+        assert focal_loss([0.5, 0.5], [0.5, 0.5], 0.0) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_hand_value_gamma_two(self):
         # 1 * (1 - 0.5)^2 * (-log 0.5), written out independently
         expected = 0.25 * -math.log(0.5)
         assert focal_loss([0.5, 0.5], [1, 0], 2.0) == pytest.approx(expected, abs=1e-15)
+        # both classes share (1 - 0.5)^2 * (-log 0.5); posterior weights sum to 1
+        assert focal_loss([0.5, 0.5], [0.7, 0.3], 2.0) == pytest.approx(expected, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -106,22 +111,6 @@ class TestFocalLoss:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             focal_loss([0.5, 0.5], [1, 0], -1.0)
-
-    def test_matches_cross_entropy_exactly_at_gamma_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            k = int(rng.integers(2, 8))
-            u, v = random_simplex(rng, k), random_simplex(rng, k)
-            assert focal_loss(u, v, 0.0) == cross_entropy(u, v)
-
-
-class TestCrossEntropy:
-    def test_perfect_prediction(self):
-        assert cross_entropy([1, 0], [1, 0]) == 0.0
-
-    def test_hand_values(self):
-        assert cross_entropy([0.25, 0.75], [0, 1]) == pytest.approx(-math.log(0.75), abs=1e-15)
-        assert cross_entropy([0.5, 0.5], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-15)
 
 
 class TestConfidenceWeight:
@@ -170,6 +159,15 @@ class TestRecoveryScore:
         grid = np.linspace(1e-9, 1 - 1e-6, 20_000)
         values = recovery_score(grid, gamma)
         assert np.all(np.diff(values) > 0)
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
+    def test_log_map_matches_weight_factorization(self, gamma):
+        # the score map and the weight curve factor w_g two ways; they must
+        # not drift apart where (1 - v)^g is still representable
+        grid = np.concatenate([np.geomspace(1e-12, 0.5, 2_000), 1.0 - np.geomspace(1e-6, 0.5, 2_000)])
+        via_log = np.exp(core._log_score(grid, gamma))
+        via_weight = grid / core._weight_interior(grid, gamma)
+        np.testing.assert_allclose(via_log, via_weight, rtol=1e-13, atol=0)
 
 
 class TestUniformOnSupport:
@@ -229,6 +227,57 @@ class TestRecoverPosterior:
     def test_rows_rejects_bad_row(self):
         with pytest.raises(InvalidSimplexError):
             recover_posterior_rows(np.array([[0.5, 0.4], [0.5, 0.5]]), 1.0)
+
+    def test_rows_spanning_blocks_match_per_row_and_leave_input(self):
+        rng = np.random.default_rng(8)
+        rows = rng.dirichlet(np.ones(1000), size=70)  # 70k entries: two blocks
+        rows[5] = 0.0
+        rows[5, :4] = 0.25
+        before = rows.copy()
+        batch = recover_posterior_rows(rows, 3.0)
+        np.testing.assert_array_equal(rows, before)
+        singles = np.vstack([recover_posterior(row, 3.0) for row in rows])
+        np.testing.assert_array_equal(batch, singles)
+        np.testing.assert_array_equal(batch[5], before[5])
+
+
+def _top_rows(top, k, rng=None):
+    # rows [top, tail...] with the tail spread uniformly, or by a Dirichlet draw
+    tail = np.full(k - 1, 1.0 / (k - 1)) if rng is None else rng.dirichlet(np.ones(k - 1))
+    return np.concatenate([[top], (1.0 - top) * tail])
+
+
+class TestLargeGamma:
+    """Recovery where (1 - v)^g underflows: finite, normalized, argmax kept."""
+
+    @pytest.mark.parametrize("gamma", [50.0, 100.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_grid_of_tops(self, gamma, k):
+        rows = np.vstack([_top_rows(top, k) for top in (0.5 + 1e-3, 0.9, 0.9999, 1.0 - 1e-8)])
+        out = recover_posterior_rows(rows, gamma)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert (out.argmax(axis=1) == 0).all()
+        assert (out[:, 0] >= rows[:, 0]).all()
+        if k == 2:
+            for row, got in zip(rows, out):
+                assert abs(got[0] - recover_binary(row[0], gamma)) < 1e-10
+
+    @given(
+        st.floats(50.0, 1000.0),
+        st.floats(0.9, 1.0 - 1e-8),
+        st.sampled_from([2, 10, 1000]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, gamma, top, k, seed):
+        row = _top_rows(top, k, np.random.default_rng(seed))
+        out = recover_posterior(row, gamma)
+        assert np.isfinite(out).all()
+        assert abs(out.sum() - 1.0) <= 1e-12
+        assert int(np.argmax(out)) == 0
+        if k == 2:
+            assert abs(out[0] - recover_binary(row[0], gamma)) < 1e-10
 
 
 class TestRecoverBinary:

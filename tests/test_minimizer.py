@@ -1,22 +1,24 @@
 """Risk minimizer: inverse solver, projected-gradient oracle, curve."""
 
-import math
+import warnings
 
 import numpy as np
 import pytest
 
+import focal_calib.minimizer as minimizer
 from focal_calib import (
     ConvergenceError,
-    DimensionError,
     DomainError,
     confidence_curve,
+    focal_loss,
     minimize_risk_inverse,
     minimize_risk_pg,
     one_hot,
-    pointwise_risk,
     project_to_simplex,
+    recover_binary,
     recover_posterior,
 )
+from focal_calib.cli import main
 from focal_calib.minimizer import argmax_matches, preserves_order
 
 GAMMAS = [0.5, 1.0, 2.0, 3.0, 5.0]
@@ -24,24 +26,6 @@ GAMMAS = [0.5, 1.0, 2.0, 3.0, 5.0]
 
 def random_simplex(rng, k):
     return rng.dirichlet(np.ones(k))
-
-
-class TestPointwiseRisk:
-    def test_perfect_one_hot_is_zero(self):
-        e = one_hot(1, 3)
-        assert pointwise_risk(e, e, 2.0) == 0.0
-
-    def test_cross_entropy_case(self):
-        assert pointwise_risk([0.5, 0.5], [1, 0], 0.0) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_hand_value_shared_modulation(self):
-        # both classes share (1 - 0.5)^2 * (-log 0.5); posterior weights sum to 1
-        expected = 0.25 * math.log(2)
-        assert pointwise_risk([0.5, 0.5], [0.7, 0.3], 2.0) == pytest.approx(expected, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            pointwise_risk([0.5, 0.5], [0.5, 0.3, 0.2], 1.0)
 
 
 class TestProjection:
@@ -104,7 +88,7 @@ class TestInverseSolver:
         result = minimize_risk_inverse(eta, 2.0)
         for _ in range(100):
             candidate = random_simplex(rng, 3)
-            assert pointwise_risk(candidate, eta, 2.0) >= result.risk - 1e-12
+            assert focal_loss(candidate, eta, 2.0) >= result.risk - 1e-12
 
     def test_order_preserved(self):
         rng = np.random.default_rng(4)
@@ -128,6 +112,93 @@ class TestInverseSolver:
                 hits += 1
                 assert q.max() < eta.max()
         assert hits > 10
+
+
+def _log_focal_slope(q, gamma):
+    # log(w_g(q) / q), written out apart from the package's score map
+    return gamma * np.log1p(-q) + np.log1p(-gamma * q * np.log(q) / (1.0 - q)) - np.log(q)
+
+
+class TestBatchedInverseSolver:
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(9)
+        etas = rng.dirichlet(np.ones(6), size=30)
+        etas[3] = [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
+        etas[4] = one_hot(2, 6)
+        etas[5] = [0.0, 0.7, 0.0, 0.3, 0.0, 0.0]
+        for gamma in (0.0, 0.5, 2.0, 5.0):
+            batch = minimize_risk_inverse(etas, gamma)
+            rows = [minimize_risk_inverse(eta, gamma) for eta in etas]
+            np.testing.assert_array_equal(batch.q_star, np.vstack([r.q_star for r in rows]))
+            np.testing.assert_array_equal(batch.risk, [r.risk for r in rows])
+            assert batch.iterations == max(r.iterations for r in rows)
+            assert batch.residual == max(r.residual for r in rows)
+            assert batch.q_star[5, 0] == 0.0 and batch.q_star[5, 2] == 0.0
+            np.testing.assert_array_equal(batch.q_star[4], etas[4])
+
+    def test_round_trip_is_tight(self):
+        rng = np.random.default_rng(10)
+        for gamma in (0.5, 1.0, 2.0, 3.0, 5.0):
+            etas = rng.dirichlet(np.ones(8), size=40)
+            q = minimize_risk_inverse(etas, gamma).q_star
+            back = np.vstack([recover_posterior(row, gamma) for row in q])
+            assert np.abs(back - etas).max() < 1e-12
+
+    def test_telemetry_types(self):
+        # benchmark tracing sums these and writes them with json.dump
+        eta = np.array([0.6, 0.3, 0.1])
+        for result in (
+            minimize_risk_inverse(eta, 2.0),
+            minimize_risk_inverse(np.vstack([eta, eta[::-1]]), 2.0),
+            minimize_risk_inverse(eta, 0.0),
+            minimize_risk_pg(eta, 2.0),
+        ):
+            assert type(result.iterations) is int
+            assert type(result.residual) is float
+        single = minimize_risk_inverse(eta, 2.0)
+        stack = minimize_risk_inverse(np.vstack([eta, eta]), 2.0)
+        assert single.q_star.shape == (3,) and type(single.risk) is float
+        assert stack.q_star.shape == (2, 3) and stack.risk.shape == (2,)
+
+    def test_large_gamma_is_stationary_without_warnings(self):
+        rng = np.random.default_rng(11)
+        binary = np.vstack([[0.9, 0.1], [1.0 - 1e-8, 1e-8], [0.5 + 1e-9, 0.5 - 1e-9]])
+        peaked = rng.dirichlet(np.full(10, 0.02), size=20)
+        peaked /= peaked.sum(axis=1, keepdims=True)
+        for gamma in (10.0, 100.0, 300.0, 1000.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                two = minimize_risk_inverse(binary, gamma)
+                many = minimize_risk_inverse(peaked, gamma)
+            assert two.iterations <= 20 and many.iterations <= 20
+            for eta, q in zip(binary, two.q_star):
+                assert abs(recover_binary(q[0], gamma) - eta[0]) < 1e-9
+            support = peaked > 0.0
+            q = np.where(support, many.q_star, 0.5)
+            levels = np.log(np.where(support, peaked, 1.0)) + _log_focal_slope(q, gamma)
+            spread = np.where(support, levels, -np.inf).max(axis=1) + np.where(
+                support, -levels, -np.inf
+            ).max(axis=1)
+            assert spread.max() < 1e-6
+
+    def test_curve_cli_at_large_gamma(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curve", "--k", "10", "--gamma", "1000", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        m, top = data[:, 0], data[:, 1]
+        tail_m, tail_q = (1.0 - m) / 9, (1.0 - top) / 9
+        level_top = np.log(m) + _log_focal_slope(top, 1000.0)
+        level_tail = np.log(tail_m) + _log_focal_slope(tail_q, 1000.0)
+        assert np.abs(level_top - level_tail).max() < 1e-6
+        assert np.all(np.diff(top) > 0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(minimizer, "_NEWTON_ITERS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            minimize_risk_inverse(np.array([0.7, 0.2, 0.1]), 2.0)
+        assert np.isfinite(info.value.residual)
 
 
 class TestProjectedGradientOracle:
@@ -182,6 +253,7 @@ class TestConfidenceCurve:
         assert min(ms) > 1 / 3 and max(ms) < 1.0
         assert len(pairs) == 10
 
-    def test_unknown_tail_scheme_rejected(self):
-        with pytest.raises(DomainError):
-            confidence_curve(3, 2.0, grid_size=4, tail="zipf")
+    def test_rejects_bad_arguments(self):
+        for k, grid in ((1, 4), (3, 0)):
+            with pytest.raises(DomainError):
+                confidence_curve(k, 2.0, grid_size=grid)

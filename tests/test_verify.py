@@ -18,6 +18,7 @@ class TestRunVerify:
             "region_consistency",
             "high_confidence_underestimates",
             "binary_closed_form",
+            "large_gamma_recovery",
             "fixed_points",
             "argmax_preserved",
             "weight_curve_shape",
@@ -38,11 +39,14 @@ class TestRunVerify:
         assert "recovery_round_trip" in table
         assert "PASS" in table
 
-    def test_corrupted_weight_kernel_fails_checks(self, monkeypatch):
-        # negative control: a constant weight turns the one score map into the
-        # identity for every caller.  The inverse solver and the transform
-        # still agree with each other, but not with the projected-gradient
-        # solver or the two-class closed form, which never use the map.
+    def test_corrupted_kernels_fail_checks(self, monkeypatch):
+        # negative control.  The log score map loses its log1p bracket term,
+        # so the inverse solver and the transform invert the wrong map
+        # together: they still agree with each other, but not with the
+        # projected-gradient solver or the two-class closed form, which
+        # never use the map.  A constant weight kernel flattens the weight
+        # curve that the thresholds are solved on.
+        monkeypatch.setattr(core, "_log_score", lambda v, g: np.log(v) - g * np.log1p(-v))
         monkeypatch.setattr(core, "_weight_interior", lambda v, g: np.ones_like(v))
         # the thresholds memo must not keep values from the corrupted curve
         thresholds.cache_clear()
@@ -54,4 +58,5 @@ class TestRunVerify:
         assert not check["solver_agreement"].passed
         assert not check["binary_closed_form"].passed
         assert not check["threshold_ordering"].passed
+        assert check["recovery_round_trip"].passed
         assert not report.all_passed
