@@ -257,6 +257,11 @@ def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
         logs -= logs.max(axis=1, keepdims=True)
         scores = np.exp(logs, out=logs)
         scores /= scores.sum(axis=1, keepdims=True)
+        # entries a few ulps apart can swap under rounding; the argmax
+        # must not, so a displaced top entry is lifted one ulp above the rest
+        top = sub.argmax(axis=1)
+        moved = np.flatnonzero(scores.argmax(axis=1) != top)
+        scores[moved, top[moved]] = np.nextafter(scores[moved].max(axis=1), 2.0)
         block[general] = scores
     return rows
 

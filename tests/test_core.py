@@ -217,6 +217,24 @@ class TestRecoverPosterior:
         assert out.min() >= 0.0
         assert int(np.argmax(out)) == int(np.argmax(p))
 
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 5.0])
+    def test_argmax_kept_on_near_ties(self, gamma):
+        # the second entry sits 1 to 3 ulps below the top; rounding in the
+        # transform must not hand it the argmax
+        rng = np.random.default_rng(12)
+        rows = rng.dirichlet(np.ones(4), size=3000)
+        rows[:, 0] = rows.max(axis=1)
+        for gap in (1, 2, 3):
+            tied = rows.copy()
+            tied[:, 1] = tied[:, 0]
+            for _ in range(gap):
+                tied[:, 1] = np.nextafter(tied[:, 1], 0.0)
+            tied /= tied.sum(axis=1, keepdims=True)
+            tied = tied[tied.argmax(axis=1) == 0]
+            out = recover_posterior_rows(tied, gamma)
+            assert (out.argmax(axis=1) == 0).all()
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_rows_variant_matches_per_row(self):
         rng = np.random.default_rng(3)
         rows = np.vstack([random_simplex(rng, 6) for _ in range(40)] + [np.eye(6)[0]])

@@ -353,9 +353,11 @@ def prediction_sets(draw):
     rows = []
     for _ in range(n):
         row = np.full(k, draw(st.sampled_from([0.0, -0.0])))
+        # at most four tail entries of at most 0.24 each, so the top entry
+        # 1 - sum(tail) stays a probability
         tail = draw(
             st.lists(
-                st.one_of(st.sampled_from(EDGE_VALUES[:6]), st.floats(0.0, 0.4)),
+                st.one_of(st.sampled_from(EDGE_VALUES[:6]), st.floats(0.0, 0.24)),
                 max_size=min(k - 1, 4),
             )
         )
