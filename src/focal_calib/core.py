@@ -240,8 +240,9 @@ def is_uniform_on_support(p, tol: float) -> bool:
 def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
     # the recovery transform, in place, on a fresh copy of validated rows
     # clipped into [0, 1].  Blocks of about _BLOCK entries keep the
-    # temporaries small; each row is shifted by its largest log score
-    # before the exp, so no row under- or overflows.
+    # temporaries small.  Each row is shifted by the log score of its top
+    # entry, its largest up to rounding, before the exp, so no row under-
+    # or overflows.
     if g == 0.0:
         return rows
     step = max(1, _BLOCK // rows.shape[1])
@@ -252,14 +253,14 @@ def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
             continue
         sub = block[general]
         positive = sub > 0.0
+        top = sub.argmax(axis=1)
         logs = np.full_like(sub, -np.inf)
         logs[positive] = _log_score(sub[positive], g)
-        logs -= logs.max(axis=1, keepdims=True)
+        logs -= logs[np.arange(top.size), top][:, None]
         scores = np.exp(logs, out=logs)
         scores /= scores.sum(axis=1, keepdims=True)
         # entries a few ulps apart can swap under rounding; the argmax
         # must not, so a displaced top entry is lifted one ulp above the rest
-        top = sub.argmax(axis=1)
         moved = np.flatnonzero(scores.argmax(axis=1) != top)
         scores[moved, top[moved]] = np.nextafter(scores[moved].max(axis=1), 2.0)
         block[general] = scores
