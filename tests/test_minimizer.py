@@ -194,6 +194,14 @@ class TestBatchedInverseSolver:
         assert np.abs(level_top - level_tail).max() < 1e-6
         assert np.all(np.diff(top) > 0.0)
 
+    def test_tol_below_float_resolution_is_kept_at_the_cap(self):
+        rng = np.random.default_rng(13)
+        etas = rng.dirichlet(np.ones(7), size=50)
+        result = minimize_risk_inverse(etas, 2.0, tol=1e-17)
+        assert result.residual <= 1e-9
+        back = np.vstack([recover_posterior(row, 2.0) for row in result.q_star])
+        assert np.abs(back - etas).max() < 1e-12
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(minimizer, "_NEWTON_ITERS", 1)
         with pytest.raises(ConvergenceError) as info:
