@@ -16,9 +16,11 @@ over their support).
 Each formula is written once and shared by the whole package:
 
 * ``_focal_terms`` is the elementwise focal kernel ``(1 - p)^g * log p``
-  (plain ``log p`` at ``g == 0``).  The losses, the risk solvers, the
-  training loss and the temperature objective all sum it; each caller
-  clamps its input and returns its ``+inf`` sentinel itself.
+  (plain ``log p`` at ``g == 0``).  The losses, the risk solvers and the
+  training loss all sum it; each caller clamps its input and returns its
+  ``+inf`` sentinel itself.  The temperature fit
+  (``calibrate._temperature_pass``) has ``log p`` rather than ``p``, and
+  writes the kernel in it next to its two derivatives.
 * ``_log_score`` is the one score map, in the log domain:
 
       log s_g(v) = log v - g log1p(-v) - log1p(g v (-log v) / (1 - v)).

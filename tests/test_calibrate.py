@@ -1,9 +1,13 @@
-"""Temperature scaling, label smoothing, dataset-level recovery."""
+"""Temperature scaling and dataset-level recovery."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from focal_calib import (
+    CLAMP_EPS,
     DomainError,
     Objective,
     PredictionSet,
@@ -13,9 +17,12 @@ from focal_calib import (
     default_distribution,
     error_rate,
     fit_temperature,
+    recover_posterior_rows,
     scale_dataset,
-    smooth_labels,
+    softmax,
 )
+from focal_calib import calibrate
+from focal_calib.calibrate import T_MAX, T_MIN
 
 
 class TestApplyTemperature:
@@ -78,6 +85,15 @@ class TestFitTemperature:
         fit = fit_temperature(preds)
         assert fit.achieved <= fit.baseline
 
+    def test_flat_objective_falls_back_to_unit_temperature(self):
+        # equal logits within each row: every temperature ties with t == 1
+        logits = np.repeat(np.arange(40.0)[:, None], 3, axis=1)
+        preds = PredictionSet(logits, np.arange(40) % 3 + 1, ScoreKind.LOGITS)
+        for objective, gamma in ((Objective.NLL, 0.0), (Objective.FOCAL, 2.0)):
+            fit = fit_temperature(preds, objective, gamma)
+            assert fit.temperature == 1.0
+            assert fit.achieved == fit.baseline
+
     def test_scale_dataset_roundtrip(self):
         preds = _logit_set(2.0, n=500)
         scaled = scale_dataset(preds, 2.0)
@@ -85,28 +101,150 @@ class TestFitTemperature:
         np.testing.assert_allclose(scaled.scores.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestSmoothLabels:
-    def test_no_smoothing_is_one_hot(self):
-        np.testing.assert_array_equal(smooth_labels(2, 3, 0.0), [0.0, 1.0, 0.0])
+# ---------------------------------------------------------------------------
+# Reference temperature fit: golden section on t, as the fit was first written
 
-    def test_hand_value(self):
-        out = smooth_labels(1, 10, 0.1)
-        assert out[0] == pytest.approx(0.91, abs=1e-15)
-        np.testing.assert_allclose(out[1:], 0.01, atol=1e-15)
 
-    def test_sums_to_one_and_interior(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            k = int(rng.integers(2, 12))
-            y = int(rng.integers(1, k + 1))
-            eps = float(rng.uniform(0.01, 0.99))
-            out = smooth_labels(y, k, eps)
-            assert abs(out.sum() - 1.0) < 1e-12
-            assert np.all(out > 0.0) and np.all(out < 1.0)
+def _reference_objective(logits, labels, t, gamma):
+    probs = apply_temperature(logits, t)
+    label_p = np.clip(probs[np.arange(len(labels)), labels - 1], CLAMP_EPS, 1.0)
+    return float(-((1.0 - label_p) ** gamma * np.log(label_p)).sum())
 
-    def test_bad_label(self):
-        with pytest.raises(DomainError):
-            smooth_labels(0, 3, 0.1)
+
+def _golden_reference(preds, gamma):
+    """(t, objective) from a golden-section search of [T_MIN, T_MAX] to 1e-6."""
+    logits = calibrate._as_logits(preds)
+
+    def f(t):
+        return _reference_objective(logits, preds.labels, t, gamma)
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = T_MIN, T_MAX
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-6:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    t = 0.5 * (a + b)
+    return t, f(t)
+
+
+def _nll_slope(logits, labels, t):
+    # t^2 * d NLL / dt = sum (z_y - E_p z) at p = softmax(z / t)
+    p = softmax(logits / t)
+    return float((logits[np.arange(len(labels)), labels - 1] - (p * logits).sum(axis=1)).sum())
+
+
+def _tempered_labels(rng, logits, t):
+    p = softmax(logits / t)
+    below = np.cumsum(p, axis=1) < rng.random(len(p))[:, None]
+    return np.minimum(below.sum(axis=1) + 1, p.shape[1])
+
+
+def _fit_corpus():
+    """name -> (prediction set, where the optimum lies: "interior", T_MIN or T_MAX)."""
+    dist = default_distribution()
+    x, y = dist.sample(4000, 31)
+    log_post = np.log(np.clip(dist.posterior(x), 1e-300, None))
+    corpus = {
+        f"posterior_x{scale}": (PredictionSet(scale * log_post, y, ScoreKind.LOGITS), "interior")
+        for scale in (0.5, 1.0, 2.0)
+    }
+    rng = np.random.default_rng(32)
+    # 10-class logits made as the benchmark makes them: N(0, 2), a bump of 5
+    # on one class, labels drawn from softmax(z / 1.8)
+    z = rng.normal(0.0, 2.0, (20_000, 10))
+    z[np.arange(20_000), rng.integers(0, 10, 20_000)] += 5.0
+    labels = _tempered_labels(rng, z, 1.8)
+    corpus["bench_k10"] = (PredictionSet(z, labels, ScoreKind.LOGITS), "interior")
+    z = rng.normal(0.0, 1.0, (2000, 4))
+    corpus["separable"] = (PredictionSet(z, z.argmax(axis=1) + 1, ScoreKind.LOGITS), T_MIN)
+    corpus["anti_separable"] = (PredictionSet(z, z.argmin(axis=1) + 1, ScoreKind.LOGITS), T_MAX)
+    corpus["probabilities"] = (PredictionSet(softmax(2.0 * log_post), y), "interior")
+    # label probabilities on the CLAMP_EPS floor at t == 1, where the slope
+    # cannot see them: all of them, or those of the ~3/4 wrong random labels
+    z = rng.normal(0.0, 10.0, (300, 6))
+    labels = z.argmin(axis=1) + 1
+    z[np.arange(300), labels - 1] -= 50.0
+    corpus["floored_anti_separable"] = (PredictionSet(z, labels, ScoreKind.LOGITS), T_MAX)
+    rng = np.random.default_rng(1)
+    z = rng.normal(0.0, 1000.0, (300, 4))
+    corpus["floored_random"] = (PredictionSet(z, rng.integers(1, 5, 300), ScoreKind.LOGITS), T_MAX)
+    return corpus
+
+
+_CORPUS = _fit_corpus()
+_OBJECTIVES = [(Objective.NLL, 0.0)] + [(Objective.FOCAL, g) for g in (0.5, 1.0, 2.0, 5.0)]
+_CASES = [(name, objective, gamma) for name in _CORPUS for objective, gamma in _OBJECTIVES]
+_INTERIOR = [case for case in _CASES if _CORPUS[case[0]][1] == "interior"]
+_REFERENCE = {}
+
+
+def _case_id(case):
+    name, objective, gamma = case
+    return f"{name}-{objective.value}-{gamma:g}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", _CASES, ids=_case_id)
+class TestFitAgainstReference:
+    def _fit_and_reference(self, case):
+        name, objective, gamma = case
+        preds, where = _CORPUS[name]
+        if case not in _REFERENCE:
+            g = 0.0 if objective is Objective.NLL else gamma
+            _REFERENCE[case] = _golden_reference(preds, g)
+        return preds, where, fit_temperature(preds, objective, gamma), _REFERENCE[case]
+
+    def test_never_worse_than_reference(self, case):
+        _, _, fit, (_, ref_achieved) = self._fit_and_reference(case)
+        assert fit.achieved <= ref_achieved * (1.0 + 1e-12)
+        assert fit.achieved <= fit.baseline
+
+    def test_optimum_location(self, case):
+        _, where, fit, (ref_t, _) = self._fit_and_reference(case)
+        if where == "interior":
+            assert fit.temperature == pytest.approx(ref_t, rel=1e-5)
+        else:
+            assert fit.temperature == where
+
+    def test_few_softmax_passes(self, case, monkeypatch):
+        # golden section took 43 passes; bisection alone would take ~35
+        name, objective, gamma = case
+        calls = []
+        real = calibrate._temperature_pass
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(calibrate, "_temperature_pass", counted)
+        fit_temperature(_CORPUS[name][0], objective, gamma)
+        assert len(calls) <= 12, calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", _INTERIOR, ids=_case_id)
+def test_interior_fit_is_stationary(case):
+    """The same test as the benchmark's: the slope changes sign at t (1 +- 1e-4)."""
+    name, objective, gamma = case
+    preds = _CORPUS[name][0]
+    logits = calibrate._as_logits(preds)
+    t = fit_temperature(preds, objective, gamma).temperature
+    if objective is Objective.NLL:
+        below = _nll_slope(logits, preds.labels, t * (1.0 - 1e-4))
+        above = _nll_slope(logits, preds.labels, t * (1.0 + 1e-4))
+        assert below < 0.0 < above
+    else:
+        at = _reference_objective(logits, preds.labels, t, gamma)
+        for side in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert _reference_objective(logits, preds.labels, t * side, gamma) > at
 
 
 class TestApplyPsiDataset:
@@ -146,3 +284,36 @@ class TestApplyPsiDataset:
         preds = PredictionSet(scores, np.array([1, 2]))
         out = apply_psi_dataset(preds, 2.0)
         np.testing.assert_allclose(out.scores.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_matches_row_transform_bit_for_bit(self):
+        # rows off the simplex by file-level noise go through the clip and
+        # the renormalization first
+        rng = np.random.default_rng(18)
+        scores = rng.dirichlet(np.full(6, 0.5), size=400)
+        scores[:, 0] += rng.uniform(-4e-7, 4e-7, size=400)
+        preds = PredictionSet(scores, rng.integers(1, 7, size=400))
+        rows = scores.clip(0.0, 1.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        for gamma in (0.5, 2.0, 100.0):
+            out = apply_psi_dataset(preds, gamma)
+            np.testing.assert_array_equal(out.scores, recover_posterior_rows(rows, gamma))
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(19)
+        preds = PredictionSet(rng.dirichlet(np.ones(4), size=50), rng.integers(1, 5, size=50))
+        before = preds.scores.copy()
+        apply_psi_dataset(preds, 3.0)
+        np.testing.assert_array_equal(preds.scores, before)
+
+    def test_one_full_size_copy(self):
+        # the output is the only array of the input's size: the transform
+        # runs in place on the clipped copy, in small blocks
+        rng = np.random.default_rng(20)
+        preds = PredictionSet(rng.dirichlet(np.ones(1000), size=3000), rng.integers(1, 1001, 3000))
+        tracemalloc.start()
+        try:
+            apply_psi_dataset(preds, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * preds.scores.nbytes
