@@ -56,9 +56,11 @@ class TemperatureFit:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; accepts a vector or an (n, k) matrix."""
     arr = np.asarray(z, dtype=float)
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # one new array besides the input: exp and the division run in place
+    out = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def apply_temperature(logits, t: float) -> np.ndarray:

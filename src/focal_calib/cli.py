@@ -24,8 +24,9 @@ from .calibrate import (
     apply_temperature,
     fit_temperature,
     scale_dataset,
+    softmax,
 )
-from .errors import CalibrationError
+from .errors import CalibrationError, DomainError
 from .io import FileFormat, load_predictions, save_predictions, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
 from .minimizer import confidence_curve
@@ -190,6 +191,8 @@ def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, Tr
         "grid_n": int(cfg.get("grid_n", 601)),
         "bins": int(cfg.get("bins", 10)),
     }
+    if options["grid_n"] < 1:
+        raise DomainError(f"grid_n must be >= 1, got {options['grid_n']}")
     return dist, base, options
 
 
@@ -222,34 +225,44 @@ def _cmd_synth(args) -> int:
 
     # (run name, training gamma, whether to add the _ts and _psi variants)
     runs = [("ce", 0.0, False)] + [(f"fl{g:g}", g, True) for g in opt["gammas"]]
+    trained = train_mlp(
+        x_train, y_train, [replace(base_config, gamma=g) for _, g, _ in runs], k=dist.k
+    )
+    x_val, y_val = dist.sample(opt["n_train"], args.seed + 1)
+    x_test, y_test = dist.sample(opt["n_test"], args.seed + 2)
     summary = []
-    for name, gamma, focal in runs:
-        config = replace(base_config, gamma=gamma)
-        model, history = train_mlp(x_train, y_train, config, k=dist.k)
+    for (name, gamma, focal), (model, history) in zip(runs, trained):
         _save_npz_atomic(out_dir / f"model_{name}.npz", model.state())
         write_csv(out_dir / f"loss_{name}.csv", ["epoch", "loss"], enumerate(history, 1))
 
-        # (variant name, predict callable, recovery gamma)
-        variants = [(f"{name}_raw", model.predict_proba, None)]
+        # one forward per input set; every variant is derived from its logits
+        grid_logits = model.predict_logits(grid)
+        test_logits = model.predict_logits(x_test)
+        q_grid, q_test = softmax(grid_logits), softmax(test_logits)
+        # (variant name, grid rows, test rows, recovery gamma)
+        variants = [(f"{name}_raw", q_grid, q_test, None)]
         if focal:
-            x_val, y_val = dist.sample(opt["n_train"], args.seed + 1)
             fit = fit_temperature(
                 PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS),
                 Objective.NLL,
             )
             t = fit.temperature
             variants.append(
-                (f"{name}_ts", lambda x: apply_temperature(model.predict_logits(x), t), None)
+                (
+                    f"{name}_ts",
+                    apply_temperature(grid_logits, t),
+                    apply_temperature(test_logits, t),
+                    None,
+                )
             )
-            variants.append((f"{name}_psi", model.predict_proba, gamma))
+            variants.append((f"{name}_psi", q_grid, q_test, gamma))
 
-        for variant, predict, gamma_for_recovery in variants:
+        for variant, variant_grid, variant_test, gamma_for_recovery in variants:
             panel = evaluate_panel(
-                predict,
-                dist,
-                grid,
-                test_n=opt["n_test"],
-                seed=args.seed + 2,
+                variant_grid,
+                eta_grid,
+                variant_test,
+                y_test,
                 gamma_for_recovery=gamma_for_recovery,
                 n_bins=opt["bins"],
             )

@@ -127,9 +127,11 @@ def one_hot(y: int, k: int) -> np.ndarray:
     return e
 
 
-def _focal_terms(p: np.ndarray, g: float) -> np.ndarray:
-    # the focal kernel (1 - p)^g * log p; callers clamp p and weight the sum
-    if g == 0.0:
+def _focal_terms(p: np.ndarray, g) -> np.ndarray:
+    # the focal kernel (1 - p)^g * log p; callers clamp p and weight the
+    # sum.  g is a float or an array that broadcasts against p; the
+    # isinstance test keeps the risk solvers' many scalar calls cheap.
+    if isinstance(g, float) and g == 0.0:
         return np.log(p)
     return (1.0 - p) ** g * np.log(p)
 
@@ -205,8 +207,10 @@ def recovery_score(v, gamma: float):
     """Strictly increasing score map ``v / confidence_weight(v)`` on [0, 1).
 
     Maps 0 to 0 and diverges as ``v -> 1``; ``v == 1`` raises
-    ``SingularityError`` (callers must special-case one-hot vectors).
-    Identity when ``gamma == 0``.
+    ``SingularityError`` (callers must special-case one-hot vectors), and
+    so does a score past the float64 range (e.g. ``v = 0.9999`` at
+    ``gamma = 100``), where ``recover_posterior_rows`` still normalizes
+    in the log domain.  Identity when ``gamma == 0``.
     """
     g = require_gamma(gamma)
     arr, scalar = _unit_scores(v)
@@ -217,7 +221,13 @@ def recovery_score(v, gamma: float):
     else:
         out = np.zeros_like(arr)
         interior = arr > 0.0
-        out[interior] = np.exp(_log_score(arr[interior], g))
+        with np.errstate(over="ignore"):
+            out[interior] = np.exp(_log_score(arr[interior], g))
+        if np.isinf(out).any():
+            raise SingularityError(
+                f"recovery_score overflows float64 at gamma={g:g}; "
+                "recover_posterior_rows normalizes the scores in the log domain"
+            )
     return float(out[0]) if scalar else out
 
 

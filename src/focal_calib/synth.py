@@ -3,7 +3,8 @@
 A small, fully deterministic pipeline for studying confidence recovery
 where the true posterior is known analytically: sample a K-class 1-D
 Gaussian mixture, train a two-hidden-layer softmax MLP with the focal or
-cross-entropy loss by minibatch SGD (momentum + weight decay), and report
+cross-entropy loss by minibatch SGD (momentum + weight decay), several
+gammas at once in one lockstep loop over stacked weights, and report
 error rate, mean KL divergence to the analytic posterior over a grid, and
 expected calibration error, optionally after the recovery transform.
 
@@ -13,7 +14,9 @@ bitwise-identical trained weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,6 +107,8 @@ class MlpModel:
     """1 -> hidden -> hidden -> k softmax network with ReLU activations.
 
     Weights initialize uniformly scaled by fan-in from the given seed.
+    The first layer has a single input, so its product is a broadcast
+    multiply, which rounds exactly as a one-term matmul does.
     """
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -130,15 +135,22 @@ class MlpModel:
     def parameters(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.PARAM_NAMES]
 
-    def _forward(self, x: np.ndarray):
-        h1 = np.maximum(x @ self.w1 + self.b1, 0.0)
-        h2 = np.maximum(h1 @ self.w2 + self.b2, 0.0)
-        logits = h2 @ self.w3 + self.b3
-        return logits, h1, h2
-
     def predict_logits(self, x) -> np.ndarray:
+        """Output-layer logits for a batch of scalar inputs.
+
+        Biases and ReLUs are applied in place, and the first hidden layer
+        is freed before the last, so at most two ``(n, hidden)``
+        activations are alive at once.
+        """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        logits, _, _ = self._forward(xs[:, None])
+        h = xs[:, None] * self.w1
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
+        h = h @ self.w2
+        h += self.b2
+        np.maximum(h, 0.0, out=h)
+        logits = h @ self.w3
+        logits += self.b3
         return logits
 
     def predict_proba(self, x) -> np.ndarray:
@@ -153,57 +165,100 @@ class MlpModel:
             getattr(self, name)[...] = state[name]
 
 
-def _loss_rows(label_p: np.ndarray, gamma: float) -> np.ndarray:
+def _loss_rows(label_p: np.ndarray, gamma) -> np.ndarray:
     return -_focal_terms(label_p.clip(CLAMP_EPS, 1.0), gamma)
 
 
-def _logit_gradient(probs: np.ndarray, labels0: np.ndarray, gamma: float) -> np.ndarray:
+def _logit_gradient(
+    probs: np.ndarray, label_p: np.ndarray, onehot: np.ndarray, gammas: np.ndarray
+) -> np.ndarray:
     """Gradient of the per-sample loss wrt logits, averaged over the batch.
 
+    ``probs`` is an ``(m, b, k)`` stack of softmax rows, ``label_p`` its
+    ``(m, b)`` label entries, ``onehot`` the ``(b, k)`` labels and
+    ``gammas`` each model's gamma, broadcast against ``label_p``.
     Written in the bounded product form
     ``[g (1-u)^(g-1) u log u - (1-u)^g] * (e_y - u)`` so nothing blows up
-    as the label probability approaches 0 or 1.
+    as the label probability approaches 0 or 1; the coefficient is -1
+    where ``g == 0``.
     """
-    n, k = probs.shape
-    label_p = probs[np.arange(n), labels0]
     om = 1.0 - label_p
-    if gamma == 0.0:
-        coef = -np.ones(n)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = gamma * om ** (gamma - 1.0) * label_p * np.log(np.clip(label_p, 1e-300, 1.0))
-        coef = np.where(om > 0.0, lead - om**gamma, 0.0)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels0] = 1.0
-    return coef[:, None] * (onehot - probs) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lead = gammas * om ** (gammas - 1.0) * label_p * np.log(np.clip(label_p, 1e-300, 1.0))
+    coef = np.where(gammas == 0.0, -1.0, np.where(om > 0.0, lead - om**gammas, 0.0))
+    return coef[..., None] * (onehot - probs) / probs.shape[1]
 
 
-def _batch_gradients(model: MlpModel, xb: np.ndarray, yb0: np.ndarray, gamma: float):
-    logits, h1, h2 = model._forward(xb)
+def _stack_gradients(params, x, onehot, labels0, gammas, grads) -> np.ndarray:
+    """Mean batch loss of each of ``m`` stacked models; writes their gradients.
+
+    ``params`` and ``grads`` are the ``(m, ...)`` parameter stacks in
+    ``MlpModel.PARAM_NAMES`` order, ``x`` is the ``(b, 1)`` batch,
+    ``onehot`` and ``labels0`` its labels, and ``gammas`` an ``(m, b)``
+    array holding each model's gamma in its row.  Each slice of a stacked
+    ``matmul`` runs the same product as a single model's, and a full
+    ``gammas`` array (no stride-0 exponent) keeps numpy's power from
+    switching to its scalar-exponent shortcuts (square, sqrt, reciprocal),
+    which round differently from ``pow``.  So a model's numbers do not
+    depend on the stack it trains in.
+    """
+    w1, b1, w2, b2, w3, b3 = params
+    dw1, db1, dw2, db2, dw3, db3 = grads
+    h1 = x * w1
+    h1 += b1[:, None]
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ w2
+    h2 += b2[:, None]
+    np.maximum(h2, 0.0, out=h2)
+    logits = h2 @ w3
+    logits += b3[:, None]
     probs = softmax(logits)
-    dz = _logit_gradient(probs, yb0, gamma)
-    dw3 = h2.T @ dz
-    db3 = dz.sum(axis=0)
-    dh2 = dz @ model.w3.T
-    dh2[h2 <= 0.0] = 0.0
-    dw2 = h1.T @ dh2
-    db2 = dh2.sum(axis=0)
-    dh1 = dh2 @ model.w2.T
-    dh1[h1 <= 0.0] = 0.0
-    dw1 = xb.T @ dh1
-    db1 = dh1.sum(axis=0)
-    label_p = probs[np.arange(len(yb0)), yb0]
-    loss = float(_loss_rows(label_p, gamma).mean())
-    return loss, [dw1, db1, dw2, db2, dw3, db3]
+    # indexing leaves the (m, b) result in column order; the loss mean
+    # must sum each row pairwise in C order, as a single model's does
+    label_p = np.ascontiguousarray(probs[:, np.arange(labels0.size), labels0])
+    dz = _logit_gradient(probs, label_p, onehot, gammas)
+    np.matmul(h2.transpose(0, 2, 1), dz, out=dw3)
+    dz.sum(axis=1, out=db3)
+    dh = dz @ w3.transpose(0, 2, 1)
+    np.putmask(dh, h2 <= 0.0, 0.0)
+    np.matmul(h1.transpose(0, 2, 1), dh, out=dw2)
+    dh.sum(axis=1, out=db2)
+    dh = dh @ w2.transpose(0, 2, 1)
+    np.putmask(dh, h1 <= 0.0, 0.0)
+    np.matmul(x.T, dh, out=dw1)
+    dh.sum(axis=1, out=db1)
+    return _loss_rows(label_p, gammas).mean(axis=1)
 
 
-def train_mlp(x, y, config: TrainConfig, k: int | None = None) -> tuple[MlpModel, list[float]]:
+def _stack_views(flat: np.ndarray, shapes, m: int) -> list[np.ndarray]:
+    # consecutive (m, *shape) views of one flat buffer
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + m * math.prod(shape)
+        views.append(flat[start:stop].reshape(m, *shape))
+        start = stop
+    return views
+
+
+def train_mlp(
+    x, y, config: TrainConfig | Sequence[TrainConfig], k: int | None = None
+) -> tuple[MlpModel, list[float]] | list[tuple[MlpModel, list[float]]]:
     """Train by minibatch SGD with momentum and weight decay.
 
-    Returns the model and the mean training loss per epoch.  Raises
-    ``DivergenceError`` (with the epoch index) if the loss goes
+    With one ``TrainConfig`` returns the model and the mean training loss
+    per epoch.  With a sequence of configs that differ only in ``gamma``
+    returns a list of such pairs: the models share the seed, so also the
+    initial weights and the batch order, and train in one lockstep loop
+    over stacked weights, each exactly as it would train alone.  Raises
+    ``DivergenceError`` (with the epoch index and gamma) if a loss goes
     non-finite.
     """
+    configs = [config] if isinstance(config, TrainConfig) else list(config)
+    if not configs:
+        raise DomainError("need at least one TrainConfig")
+    first = configs[0]
+    if any(replace(c, gamma=first.gamma) != first for c in configs):
+        raise DomainError("stacked TrainConfigs may differ only in gamma")
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=int)
     if xs.size == 0:
@@ -213,39 +268,68 @@ def train_mlp(x, y, config: TrainConfig, k: int | None = None) -> tuple[MlpModel
     n_classes = k if k is not None else int(ys.max())
     if ys.min() < 1 or ys.max() > n_classes:
         raise DomainError(f"labels must lie in [1..{n_classes}]")
-    gamma = require_gamma(config.gamma)
 
-    model = MlpModel(n_classes, config.hidden, config.seed)
-    velocity = [np.zeros_like(p) for p in model.parameters()]
-    order_rng = np.random.default_rng(config.seed + 1)
+    m = len(configs)
+    # each model's gamma repeated along its row (see _stack_gradients)
+    gammas = np.repeat([[c.gamma] for c in configs], min(first.batch_size, xs.size), axis=1)
+    init = MlpModel(n_classes, first.hidden, first.seed)
+    shapes = [p.shape for p in init.parameters()]
+    # one flat buffer each for weights, velocities and gradients, so the
+    # update is a few whole-buffer operations
+    weights = np.concatenate([np.tile(p.ravel(), m) for p in init.parameters()])
+    velocity = np.zeros_like(weights)
+    grads = np.empty_like(weights)
+    step = np.empty_like(weights)
+    params = _stack_views(weights, shapes, m)
+    grad_views = _stack_views(grads, shapes, m)
+    order_rng = np.random.default_rng(first.seed + 1)
     inputs = xs[:, None]
     labels0 = ys - 1
+    onehot = np.eye(n_classes)[labels0]
 
-    history: list[float] = []
-    for epoch in range(config.epochs):
+    history = []
+    for epoch in range(first.epochs):
         order = order_rng.permutation(xs.size)
-        epoch_loss = 0.0
+        ep_inputs, ep_onehot, ep_labels = inputs[order], onehot[order], labels0[order]
+        epoch_loss = np.zeros(m)
         batches = 0
-        for start in range(0, xs.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grads = _batch_gradients(model, inputs[batch], labels0[batch], gamma)
-            if not np.isfinite(loss):
-                raise DivergenceError("training loss became non-finite", epoch)
-            epoch_loss += loss
+        for start in range(0, xs.size, first.batch_size):
+            batch = slice(start, start + first.batch_size)
+            labels = ep_labels[batch]
+            g_batch = gammas[:, : labels.size]
+            epoch_loss += _stack_gradients(
+                params, ep_inputs[batch], ep_onehot[batch], labels, g_batch, grad_views
+            )
             batches += 1
-            for p, v, grad in zip(model.parameters(), velocity, grads):
-                v *= config.momentum
-                v += grad + config.weight_decay * p
-                p -= config.learning_rate * v
+            velocity *= first.momentum
+            np.multiply(weights, first.weight_decay, out=step)
+            step += grads
+            velocity += step
+            np.multiply(velocity, first.learning_rate, out=step)
+            weights -= step
+        # a finite batch loss is at most -log(CLAMP_EPS), so the sum is
+        # non-finite exactly when some batch loss was
+        bad = ~np.isfinite(epoch_loss)
+        if bad.any():
+            gamma = float(gammas[bad.argmax(), 0])
+            raise DivergenceError(f"training loss became non-finite at gamma={gamma:g}", epoch)
         history.append(epoch_loss / batches)
-    return model, history
+
+    losses = np.array(history)
+    results = []
+    for i in range(m):
+        model = MlpModel(n_classes, first.hidden, first.seed)
+        model.load_state({name: view[i] for name, view in zip(MlpModel.PARAM_NAMES, params)})
+        results.append((model, losses[:, i].tolist()))
+    return results[0] if isinstance(config, TrainConfig) else results
 
 
 def grad_check(model: MlpModel, gamma: float, x: float, y: int, step: float = 1e-5) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     Perturbs every parameter of the model in place (restoring it), using
-    the single sample ``(x, y)`` and the focal loss at ``gamma``.
+    the single sample ``(x, y)`` and the focal loss at ``gamma``.  The
+    analytic gradient is the training kernel's, run on a stack of one.
     """
     gamma = require_gamma(gamma)
     xb = np.array([[float(x)]])
@@ -254,11 +338,12 @@ def grad_check(model: MlpModel, gamma: float, x: float, y: int, step: float = 1e
         raise DomainError(f"label {y} outside [1..{model.k}]")
 
     def loss_at() -> float:
-        logits, _, _ = model._forward(xb)
-        probs = softmax(logits)
+        probs = model.predict_proba(xb[0])
         return float(_loss_rows(probs[0, yb0], gamma).mean())
 
-    _, grads = _batch_gradients(model, xb, yb0, gamma)
+    params = [p[None] for p in model.parameters()]
+    grads = [np.empty_like(p) for p in params]
+    _stack_gradients(params, xb, np.eye(model.k)[yb0], yb0, np.array([[gamma]]), grads)
     worst = 0.0
     for param, grad in zip(model.parameters(), grads):
         flat_p = param.reshape(-1)
@@ -292,27 +377,22 @@ class PanelReport:
 
 
 def evaluate_panel(
-    predict,
-    dist: SyntheticDistribution,
-    grid,
-    test_n: int = 10_000,
-    seed: int = 0,
+    q_grid: np.ndarray,
+    eta_grid: np.ndarray,
+    q_test: np.ndarray,
+    y_test: np.ndarray,
     gamma_for_recovery: float | None = None,
     n_bins: int = 10,
 ) -> PanelReport:
-    """Score a predictor against the analytic posterior.
+    """Score probability rows against the analytic posterior.
 
-    ``predict`` maps an array of scalar inputs to ``(n, k)`` probability
-    rows, e.g. ``model.predict_proba`` or ``dist.posterior``.  KLD is
-    averaged over ``grid`` against ``dist.posterior``; error rate and ECE
-    come from a fresh test sample.  When ``gamma_for_recovery`` is given
-    the scores are passed through the recovery transform first (which
+    ``q_grid`` holds a model's rows on the evaluation grid, where
+    ``eta_grid`` is the analytic posterior; KLD is averaged over the
+    grid.  Error rate and ECE come from the test rows ``q_test`` and
+    their 1-based labels ``y_test``.  When ``gamma_for_recovery`` is given
+    the rows are passed through the recovery transform first (which
     cannot change the error rate).
     """
-    xs = np.asarray(grid, dtype=float)
-    x_test, y_test = dist.sample(test_n, seed)
-    q_grid = predict(xs)
-    q_test = predict(x_test)
     if gamma_for_recovery is not None:
         g = require_gamma(gamma_for_recovery)
         q_grid = recover_posterior_rows(q_grid / q_grid.sum(axis=1, keepdims=True), g)
@@ -320,7 +400,7 @@ def evaluate_panel(
     preds = PredictionSet(q_test, y_test, ScoreKind.PROBABILITIES)
     return PanelReport(
         err=error_rate(preds),
-        mean_kld=float(kld_rows(dist.posterior(xs), q_grid).mean()),
+        mean_kld=float(kld_rows(eta_grid, q_grid).mean()),
         ece=ece(preds, n_bins),
         grid_scores=q_grid,
         gamma_for_recovery=gamma_for_recovery,

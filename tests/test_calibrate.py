@@ -100,6 +100,24 @@ class TestFitTemperature:
         assert scaled.kind is ScoreKind.PROBABILITIES
         np.testing.assert_allclose(scaled.scores.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_scale_dataset_holds_two_copies(self):
+        # softmax takes exp and divides in place on its one shifted copy;
+        # the result equals the shift / exp / divide written out
+        rng = np.random.default_rng(22)
+        logits = rng.normal(0.0, 3.0, size=(50_000, 10))
+        preds = PredictionSet(logits, rng.integers(1, 11, 50_000), ScoreKind.LOGITS)
+        tracemalloc.start()
+        try:
+            scaled = scale_dataset(preds, 1.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arr = logits / 1.7
+        shifted = arr - arr.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        np.testing.assert_array_equal(scaled.scores, e / e.sum(axis=1, keepdims=True))
+        assert peak < 2.2 * logits.nbytes
+
 
 # ---------------------------------------------------------------------------
 # Reference temperature fit: golden section on t, as the fit was first written

@@ -255,6 +255,38 @@ class TestSynthCommand:
         assert main(["--seed", "9", "synth", "--config", str(cfg), "--out", str(b)]) == 0
         assert (a / "summary.csv").read_text() == (b / "summary.csv").read_text()
 
+    def test_models_equal_single_config_training(self, tmp_path, capsys):
+        from focal_calib import TrainConfig, default_distribution, train_mlp
+
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epochs = 2\nn_train = 300\nn_test = 500\ngammas = [1.0, 2.0]\ngrid_n = 21\nhidden = 8\n")
+        out_dir = tmp_path / "run"
+        assert main(["--seed", "4", "synth", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        x, y = default_distribution().sample(300, 4)
+        for name, gamma in (("ce", 0.0), ("fl1", 1.0), ("fl2", 2.0)):
+            model, _ = train_mlp(x, y, TrainConfig(gamma=gamma, epochs=2, hidden=8, seed=4), k=3)
+            with np.load(out_dir / f"model_{name}.npz") as saved:
+                for key, value in model.state().items():
+                    np.testing.assert_array_equal(saved[key], value)
+
+    def test_empty_grid_is_data_error(self, tmp_path, capsys):
+        code = main(["synth", "--set", "grid_n=0", "--set", "n_train=100", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "grid_n" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "summary.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_writes_no_models(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epochs = 5\nn_train = 300\nn_test = 500\ngammas = [2.0]\ngrid_n = 21\nhidden = 8\n")
+        out_dir = tmp_path / "run"
+        code = main(
+            ["synth", "--config", str(cfg), "--set", "learning_rate=1e9", "--out", str(out_dir)]
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not list(out_dir.glob("model_*.npz"))
+
 
 class TestVerifyCommand:
     def test_quick_pass(self, capsys):

@@ -154,6 +154,15 @@ class TestRecoveryScore:
         with pytest.raises(SingularityError):
             recovery_score(1.0, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float64_overflow_is_singular(self):
+        # log s_g(0.9999) at gamma 100 is about 921, past log(max float) ~ 709.8
+        with pytest.raises(SingularityError, match="recover_posterior_rows"):
+            recovery_score(np.array([0.5, 0.9999]), 100.0)
+        # the row-wise transform normalizes in the log domain and stays finite
+        rows = recover_posterior_rows(np.array([[0.9999, 0.0001]]), 100.0)
+        assert np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_strictly_increasing_dense(self, gamma):
         grid = np.linspace(1e-9, 1 - 1e-6, 20_000)

@@ -1,5 +1,8 @@
 """Synthetic mixture, MLP training, gradient checks, panel evaluation."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,11 +105,97 @@ class TestTraining:
             train_mlp(x, y, config)
         assert info.value.epoch >= 0
 
+    def test_lockstep_stack_matches_separate_runs_bitwise(self):
+        # 500 rows in batches of 32 leave a short last batch of 20
+        dist = default_distribution()
+        x, y = dist.sample(500, 6)
+        configs = [self._small_config(g, epochs=4) for g in (0.0, 0.5, 2.0, 5.0)]
+        stacked = train_mlp(x, y, configs)
+        assert len(stacked) == len(configs)
+        for config, (model, history) in zip(configs, stacked):
+            alone, alone_history = train_mlp(x, y, config)
+            assert history == alone_history
+            for a, b in zip(model.parameters(), alone.parameters()):
+                np.testing.assert_array_equal(a, b)
+
+    def test_stack_of_one_is_the_single_call(self):
+        dist = default_distribution()
+        x, y = dist.sample(300, 7)
+        config = self._small_config(1.0, epochs=2)
+        [(model, history)] = train_mlp(x, y, [config])
+        alone, alone_history = train_mlp(x, y, config)
+        assert history == alone_history
+        for a, b in zip(model.parameters(), alone.parameters()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"epochs": 4},
+            {"batch_size": 16},
+            {"learning_rate": 0.02},
+            {"momentum": 0.5},
+            {"weight_decay": 0.0},
+            {"hidden": 8},
+            {"seed": 4},
+        ],
+    )
+    def test_stack_rejects_configs_differing_beyond_gamma(self, change):
+        dist = default_distribution()
+        x, y = dist.sample(100, 8)
+        first = self._small_config(0.0)
+        other = dataclasses.replace(first, gamma=2.0, **change)
+        with pytest.raises(DomainError, match="only in gamma"):
+            train_mlp(x, y, [first, other])
+
+    def test_empty_stack_is_rejected(self):
+        dist = default_distribution()
+        x, y = dist.sample(100, 8)
+        with pytest.raises(DomainError):
+            train_mlp(x, y, [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_stack_member_raises_with_epoch(self):
+        dist = default_distribution()
+        x, y = dist.sample(300, 5)
+        configs = [
+            TrainConfig(gamma=g, epochs=10, batch_size=32, learning_rate=1e9, hidden=16, seed=0)
+            for g in (0.0, 2.0)
+        ]
+        epochs = {}
+        for config in configs:
+            with pytest.raises(DivergenceError) as info:
+                train_mlp(x, y, config)
+            epochs[config.gamma] = info.value.epoch
+        with pytest.raises(DivergenceError, match="gamma=") as info:
+            train_mlp(x, y, configs)
+        assert info.value.epoch == min(epochs.values())
+        first = min(epochs, key=epochs.get)
+        assert f"gamma={first:g}" in str(info.value)
+
     def test_forward_rows_are_probabilities(self):
         model = MlpModel(k=3, hidden=8, seed=0)
         probs = model.predict_proba(np.linspace(-5, 5, 30))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() >= 0.0
+
+    def test_in_place_forward_matches_textbook_forward(self):
+        model = MlpModel(k=3, hidden=64, seed=3)
+        xs = np.random.default_rng(13).normal(0, 3, size=20_000)
+        h1 = np.maximum(xs[:, None] @ model.w1 + model.b1, 0.0)
+        h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+        expected = h2 @ model.w3 + model.b3
+        del h1, h2
+        activation = xs.size * model.hidden * 8
+        tracemalloc.start()
+        try:
+            logits = model.predict_logits(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(logits, expected)
+        # two hidden activations at most; the textbook forward holds three
+        assert peak < 2.5 * activation
 
 
 class TestGradCheck:
@@ -126,22 +215,28 @@ class TestGradCheck:
         assert grad_check(model, 0.0, 0.7, 2) < 1e-5
 
     def test_gamma_zero_matches_textbook_softmax_gradient(self):
-        # at gamma 0 the logit gradient must equal (u - e_y) / n exactly
+        # at gamma 0 the logit gradient must equal (u - e_y) / n exactly,
+        # also when it shares a stack with a focal model
         from focal_calib.synth import _logit_gradient
 
         rng = np.random.default_rng(21)
-        probs = rng.dirichlet(np.ones(4), size=6)
+        probs = rng.dirichlet(np.ones(4), size=(2, 6))
         labels0 = rng.integers(0, 4, size=6)
         onehot = np.eye(4)[labels0]
-        expected = (probs - onehot) / 6
-        np.testing.assert_allclose(_logit_gradient(probs, labels0, 0.0), expected, atol=1e-12)
+        label_p = probs[:, np.arange(6), labels0]
+        expected = (probs[0] - onehot) / 6
+        grad = _logit_gradient(probs, label_p, onehot, np.array([[0.0], [2.0]]))
+        np.testing.assert_allclose(grad[0], expected, atol=1e-12)
+        assert not np.allclose(grad[1], (probs[1] - onehot) / 6, atol=1e-12)
 
 
 class TestEvaluatePanel:
     def test_oracle_model_scores_perfectly(self):
         dist = default_distribution()
         grid = np.linspace(-6, 6, 201)
-        panel = evaluate_panel(dist.posterior, dist, grid, test_n=50_000, seed=9)
+        x_test, y_test = dist.sample(50_000, 9)
+        eta = dist.posterior(grid)
+        panel = evaluate_panel(eta, eta, dist.posterior(x_test), y_test)
         assert panel.mean_kld == pytest.approx(0.0, abs=1e-12)
         assert panel.ece < 0.01
 
@@ -151,9 +246,11 @@ class TestEvaluatePanel:
         config = TrainConfig(gamma=5.0, epochs=15, batch_size=64, hidden=32, seed=11)
         model, _ = train_mlp(x, y, config)
         grid = np.linspace(-6, 6, 201)
-        raw = evaluate_panel(model.predict_proba, dist, grid, test_n=20_000, seed=12)
-        rec = evaluate_panel(
-            model.predict_proba, dist, grid, test_n=20_000, seed=12, gamma_for_recovery=5.0
-        )
+        eta = dist.posterior(grid)
+        x_test, y_test = dist.sample(20_000, 12)
+        q_grid, q_test = model.predict_proba(grid), model.predict_proba(x_test)
+        raw = evaluate_panel(q_grid, eta, q_test, y_test)
+        rec = evaluate_panel(q_grid, eta, q_test, y_test, gamma_for_recovery=5.0)
         assert rec.mean_kld < raw.mean_kld
         assert rec.err == raw.err
+        np.testing.assert_array_equal(raw.grid_scores, q_grid)
