@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from .calibrate import (
     softmax,
 )
 from .errors import CalibrationError, DomainError
-from .io import FileFormat, load_predictions, save_predictions, write_csv
+from .io import FileFormat, _atomic_writer, load_predictions, save_predictions, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
 from .minimizer import confidence_curve
 from .plotting import emit_reliability_svg, emit_score_curves_svg
@@ -196,12 +195,6 @@ def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, Tr
     return dist, base, options
 
 
-def _save_npz_atomic(path: Path, arrays: dict) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}.npz")
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
-
-
 def _cmd_synth(args) -> int:
     cfg = _parse_config(args.config, args.set or ())
     dist, base_config, opt = _build_synth_config(cfg, args.seed)
@@ -232,7 +225,8 @@ def _cmd_synth(args) -> int:
     x_test, y_test = dist.sample(opt["n_test"], args.seed + 2)
     summary = []
     for (name, gamma, focal), (model, history) in zip(runs, trained):
-        _save_npz_atomic(out_dir / f"model_{name}.npz", model.state())
+        with _atomic_writer(out_dir / f"model_{name}.npz", "wb") as fh:
+            np.savez(fh, **model.state())
         write_csv(out_dir / f"loss_{name}.csv", ["epoch", "loss"], enumerate(history, 1))
 
         # one forward per input set; every variant is derived from its logits

@@ -21,17 +21,18 @@ Each formula is written once and shared by the whole package:
   ``+inf`` sentinel itself.  The temperature fit
   (``calibrate._temperature_pass``) has ``log p`` rather than ``p``, and
   writes the kernel in it next to its two derivatives.
-* ``_log_score`` is the one score map, in the log domain:
+* ``_log_weight`` is the one weight kernel, in the log domain:
 
-      log s_g(v) = log v - g log1p(-v) - log1p(g v (-log v) / (1 - v)).
+      log w_g(v) = g log1p(-v) + log1p(g v (-log v) / (1 - v)).
 
-  The last term's argument lies in [0, g], so the map stays finite for
+  The last term's argument lies in [0, g], so the kernel stays finite for
   every ``v`` strictly inside (0, 1), at any ``g``, where ``(1 - v)^g``
-  itself underflows.  ``recovery_score`` takes its ``exp``, the recovery
-  transform normalizes it row by row, and the inverse risk solver
+  itself underflows.  ``confidence_weight`` takes its ``exp``,
+  ``thresholds`` solves ``tau_uc`` on its sign, and ``_log_score``, the
+  score map ``log s_g(v) = log v - log w_g(v)``, is built on it.
+  ``recovery_score`` takes the map's ``exp``, the recovery transform
+  normalizes it row by row, and the inverse risk solver
   (``minimizer.minimize_risk_inverse``) runs Newton's method on it.
-* ``_weight_interior`` is the weight factorization on ``(0, 1)``.  It
-  serves only the weight curve and, through it, the thresholds.
 * ``validate_simplex_rows`` is the simplex check for an ``(n, k)`` stack.
   It names the first bad row, or its file line.  Two tolerances apply:
   ``ROW_SUM_TOL`` where prediction files and ``PredictionSet`` rows come
@@ -158,19 +159,14 @@ def focal_loss(u, v, gamma: float, safe: bool = False) -> float:
     return float(-(vv[active] * _focal_terms(uu[active], g)).sum())
 
 
-def _weight_interior(v: np.ndarray, g: float) -> np.ndarray:
-    # v strictly inside (0, 1); factored to cost one pow and one log.  The
-    # bracket is formed before the pow so that at most three temporaries
-    # of v's size are alive at once.
-    om = 1.0 - v
-    bracket = 1.0 - g * v * np.log(v) / om
-    return om**g * bracket
+def _log_weight(v, g: float):
+    # log w_g(v) for v strictly inside (0, 1); see the module docstring
+    return g * np.log1p(-v) + np.log1p(g * v * -np.log(v) / (1.0 - v))
 
 
 def _log_score(v: np.ndarray, g: float) -> np.ndarray:
-    # log s_g(v) for v strictly inside (0, 1); see the module docstring
-    log_v = np.log(v)
-    return log_v - g * np.log1p(-v) - np.log1p(g * v * -log_v / (1.0 - v))
+    # log s_g(v) = log v - log w_g(v) for v strictly inside (0, 1)
+    return np.log(v) - _log_weight(v, g)
 
 
 def _unit_scores(v) -> tuple[np.ndarray, bool]:
@@ -192,13 +188,10 @@ def confidence_weight(v, gamma: float):
     """
     g = require_gamma(gamma)
     arr, scalar = _unit_scores(v)
-    if g == 0.0:
-        out = np.ones_like(arr)
-    else:
-        out = np.empty_like(arr)
+    out = np.ones_like(arr)
+    if g > 0.0:
         interior = (arr > 0.0) & (arr < 1.0)
-        out[interior] = _weight_interior(arr[interior], g)
-        out[arr == 0.0] = 1.0
+        out[interior] = np.exp(_log_weight(arr[interior], g))
         out[arr == 1.0] = 0.0
     return float(out[0]) if scalar else out
 

@@ -59,11 +59,12 @@ _BLOCK_VALUES = 1 << 17
 
 
 @contextlib.contextmanager
-def _atomic_writer(path):
-    # a text handle on a sibling temp file, renamed over ``path`` on success
+def _atomic_writer(path, mode: str = "w"):
+    # a handle (text, or binary with mode "wb") on a sibling temp file,
+    # renamed over ``path`` on success
     target = Path(path)
     tmp = target.with_name(f".{target.name}.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
+    with open(tmp, mode) as fh:
         yield fh
     os.replace(tmp, target)
 

@@ -186,17 +186,14 @@ def kld(p, q) -> float:
     """Kullback-Leibler divergence ``sum_i p_i log(p_i / q_i)``.
 
     Zero-probability ``p`` entries contribute zero; ``p_i > 0`` with
-    ``q_i == 0`` yields ``+inf``.
+    ``q_i == 0`` yields ``+inf``.  This is the one-row case of
+    :func:`kld_rows`.
     """
     pp = as_simplex(p)
     qq = as_simplex(q)
     if pp.size != qq.size:
         raise DimensionError(f"class counts differ: {pp.size} vs {qq.size}")
-    active = pp > 0.0
-    if np.any(qq[active] == 0.0):
-        return float("inf")
-    pa = pp[active]
-    return float((pa * np.log(pa / qq[active])).sum())
+    return float(kld_rows(pp[None], qq[None])[0])
 
 
 def kld_rows(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:

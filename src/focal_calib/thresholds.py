@@ -12,9 +12,15 @@ Both live in (0, 0.5) and satisfy ``tau_oc < tau_uc``.  Between them the
 direction is ambiguous from the top score alone; ``confidence_direction``
 resolves it pointwise from the full vector.
 
-No closed forms exist in general, so ``tau_oc`` is found by golden-section
-search and ``tau_uc`` by bisection.  Results are memoized per
-``(gamma, tol)``.
+No closed forms exist in general, so ``thresholds`` finds both by one
+bisection on a sign.  ``tau_oc`` is where the closed-form slope
+
+    w'(v) = g (1 - v)^(g - 2) [(g - 1) v log v - (1 - v)(2 + log v)]
+
+turns negative on (0, 0.5); only its bracket is evaluated, so the sign
+survives where ``(1 - v)^g`` underflows.  ``tau_uc`` is where the log
+weight kernel ``core._log_weight`` turns negative on [tau_oc, 0.5].
+Results are memoized per ``(gamma, tol)``.
 """
 
 from __future__ import annotations
@@ -26,11 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import core
 from .core import as_simplex, confidence_weight, recover_posterior, require_gamma
 from .errors import DegenerateError, DomainError
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_ITERS = 200
 DEFAULT_TOL = 1e-10
 _DIRECTION_EPS = 1e-12
 
@@ -66,50 +71,15 @@ def _require_positive_gamma(gamma: float) -> float:
     return g
 
 
-def overconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
-    """Unique maximizer of the weight curve, via golden-section on [0, 0.5].
-
-    The curve is unimodal there (rises to the maximum, then falls), so the
-    search bracket shrinks to the maximizer within ``tol``.
-    """
-    g = _require_positive_gamma(gamma)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    a, b = 1e-12, 0.5
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = confidence_weight(c, g)
-    fd = confidence_weight(d, g)
-    for _ in range(_MAX_ITERS):
-        if b - a <= tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = confidence_weight(c, g)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = confidence_weight(d, g)
-    return 0.5 * (a + b)
-
-
-def underconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
-    """Unique root of ``weight == 1`` on the descending branch, by bisection.
-
-    Bracketed on [tau_oc, 0.5]: the weight exceeds 1 at the maximizer and
-    is below 1 at 0.5, so the sign change is certain.
-    """
-    g = _require_positive_gamma(gamma)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    lo = overconfidence_threshold(g, tol)
-    hi = 0.5
-    for _ in range(_MAX_ITERS):
-        if hi - lo <= min(tol, 1e-13):
-            break
+def _bisect(positive, lo: float, hi: float, tol: float) -> float:
+    # the point in [lo, hi] where positive(v) turns False, given that it
+    # holds just above lo and fails at hi.  Stops once the bracket is
+    # within min(tol, 1e-13) or has no float strictly inside it.
+    while hi - lo > min(tol, 1e-13):
         mid = 0.5 * (lo + hi)
-        if confidence_weight(mid, g) > 1.0:
+        if mid in (lo, hi):
+            break
+        if positive(mid):
             lo = mid
         else:
             hi = mid
@@ -118,14 +88,36 @@ def underconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
 
 @lru_cache(maxsize=256)
 def thresholds(gamma: float, tol: float = DEFAULT_TOL) -> ThresholdPair:
-    """Both thresholds for ``gamma``, memoized."""
+    """Both thresholds for ``gamma``, memoized.
+
+    Each is bisected to a bracket of width ``min(tol, 1e-13)``, or to
+    adjacent floats.  ``tau_oc`` needs a sign change of the slope of the
+    weight curve on (0, 0.5); ``tau_uc`` one of ``weight - 1`` on
+    [tau_oc, 0.5], where the weight exceeds 1 at the maximizer and is
+    below 1 at 0.5.
+    """
     g = _require_positive_gamma(gamma)
-    return ThresholdPair(
-        gamma=g,
-        tau_oc=overconfidence_threshold(g, tol),
-        tau_uc=underconfidence_threshold(g, tol),
-        tol=tol,
-    )
+    if tol <= 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
+
+    def slope_positive(v: float) -> bool:
+        log_v = math.log(v)
+        return (g - 1.0) * v * log_v - (1.0 - v) * (2.0 + log_v) > 0.0
+
+    tau_oc = _bisect(slope_positive, 0.0, 0.5, tol)
+    tau_uc = _bisect(lambda v: core._log_weight(v, g) > 0.0, tau_oc, 0.5, tol)
+    return ThresholdPair(gamma=g, tau_oc=tau_oc, tau_uc=tau_uc, tol=tol)
+
+
+def overconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
+    """Unique maximizer of the weight curve on (0, 0.5); see :func:`thresholds`."""
+    return thresholds(gamma, tol).tau_oc
+
+
+def underconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
+    """Unique root of ``weight == 1`` on the descending branch; see
+    :func:`thresholds`."""
+    return thresholds(gamma, tol).tau_uc
 
 
 def confidence_region(max_score: float, gamma: float, tol: float = DEFAULT_TOL) -> Region:

@@ -39,6 +39,14 @@ class TestThresholdsCommand:
         assert header == "v,weight"
         assert first.startswith("0,1")
 
+    def test_large_gamma(self, tmp_path, capsys):
+        # (1 - v)^g underflows on most of [0, 0.5] at this gamma
+        out = tmp_path / "curve.csv"
+        assert main(["thresholds", "--gamma", "10000", "--curve-out", str(out)]) == 0
+        printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()[:3])
+        assert float(printed["tau_oc"]) == pytest.approx(7.8834e-5, rel=1e-4)
+        assert float(printed["tau_uc"]) == pytest.approx(3.3165e-4, rel=1e-4)
+
     def test_gamma_zero_is_data_error(self, capsys):
         assert main(["thresholds", "--gamma", "0"]) == 3
 

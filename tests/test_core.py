@@ -170,13 +170,13 @@ class TestRecoveryScore:
         assert np.all(np.diff(values) > 0)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
-    def test_log_map_matches_weight_factorization(self, gamma):
-        # the score map and the weight curve factor w_g two ways; they must
-        # not drift apart where (1 - v)^g is still representable
+    def test_log_kernel_matches_textbook_weight(self, gamma):
+        # the score map and the weight curve both read core._log_weight;
+        # checked against the unfactored w_g where (1 - v)^g is representable
         grid = np.concatenate([np.geomspace(1e-12, 0.5, 2_000), 1.0 - np.geomspace(1e-6, 0.5, 2_000)])
-        via_log = np.exp(core._log_score(grid, gamma))
-        via_weight = grid / core._weight_interior(grid, gamma)
-        np.testing.assert_allclose(via_log, via_weight, rtol=1e-13, atol=0)
+        textbook = (1.0 - grid) ** gamma - gamma * (1.0 - grid) ** (gamma - 1.0) * grid * np.log(grid)
+        np.testing.assert_allclose(np.exp(core._log_score(grid, gamma)), grid / textbook, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(confidence_weight(grid, gamma), textbook, rtol=1e-13, atol=0)
 
 
 class TestUniformOnSupport:

@@ -49,7 +49,7 @@ class TestThresholdSolvers:
         # for gamma = 1 the defining equations solve by hand:
         # d/dv [(1-v) - v log v] = -2 - log v  =>  maximizer exp(-2);
         # (1-v) - v log v = 1  =>  v (1 + log v) = 0  =>  root exp(-1)
-        assert overconfidence_threshold(1.0, 1e-12) == pytest.approx(math.exp(-2), abs=1e-8)
+        assert overconfidence_threshold(1.0, 1e-12) == pytest.approx(math.exp(-2), abs=1e-12)
         assert underconfidence_threshold(1.0, 1e-12) == pytest.approx(math.exp(-1), abs=1e-8)
 
     def test_gamma_three_against_dense_grid(self):
@@ -62,6 +62,28 @@ class TestThresholdSolvers:
             overconfidence_threshold(0.0)
         with pytest.raises(DegenerateError):
             underconfidence_threshold(0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 1e3, 1e4, 1e5])
+    def test_extreme_gamma(self, gamma):
+        # from g = 1e4, (1 - v)^g underflows on most of [0, 0.5]; at
+        # g = 1e-6, w(0.5) - 1 is only -2.4e-13.  The slope is written out
+        # here, unfactored
+        def slope(v):
+            return -gamma * (1.0 - v) ** (gamma - 1.0) * (2.0 + math.log(v)) + gamma * (
+                gamma - 1.0
+            ) * (1.0 - v) ** (gamma - 2.0) * v * math.log(v)
+
+        pair = thresholds(gamma, 1e-10)
+        assert 0.0 < pair.tau_oc < pair.tau_uc < 0.5
+        assert confidence_weight(pair.tau_oc, gamma) > 1.0
+        assert abs(confidence_weight(pair.tau_uc, gamma) - 1.0) <= 1e-9
+        assert slope(pair.tau_oc * (1.0 - 1e-6)) > 0.0 > slope(pair.tau_oc * (1.0 + 1e-6))
+
+    def test_tiny_tol_terminates(self):
+        # below the float spacing the bisection stops at adjacent floats
+        pair = thresholds(2.0, 1e-300)
+        assert pair.tau_oc == pytest.approx(thresholds(2.0).tau_oc, abs=1e-13)
+        assert pair.tau_uc == pytest.approx(thresholds(2.0).tau_uc, abs=1e-13)
 
     def test_small_gamma_still_inside_interval(self):
         pair = thresholds(0.01, 1e-10)

@@ -40,14 +40,13 @@ class TestRunVerify:
         assert "PASS" in table
 
     def test_corrupted_kernels_fail_checks(self, monkeypatch):
-        # negative control.  The log score map loses its log1p bracket term,
-        # so the inverse solver and the transform invert the wrong map
+        # negative control.  The log weight kernel loses its log1p bracket
+        # term, so the inverse solver and the transform invert the wrong map
         # together: they still agree with each other, but not with the
         # projected-gradient solver or the two-class closed form, which
-        # never use the map.  A constant weight kernel flattens the weight
-        # curve that the thresholds are solved on.
-        monkeypatch.setattr(core, "_log_score", lambda v, g: np.log(v) - g * np.log1p(-v))
-        monkeypatch.setattr(core, "_weight_interior", lambda v, g: np.ones_like(v))
+        # never use the kernel.  The weight curve becomes (1 - v)^g, which
+        # has no interior maximum and never returns to 1.
+        monkeypatch.setattr(core, "_log_weight", lambda v, g: g * np.log1p(-v))
         # the thresholds memo must not keep values from the corrupted curve
         thresholds.cache_clear()
         try:
@@ -58,5 +57,6 @@ class TestRunVerify:
         assert not check["solver_agreement"].passed
         assert not check["binary_closed_form"].passed
         assert not check["threshold_ordering"].passed
+        assert not check["weight_curve_shape"].passed
         assert check["recovery_round_trip"].passed
         assert not report.all_passed
