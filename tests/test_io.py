@@ -1,7 +1,12 @@
 """Prediction-file parsing, emission, round trips, SVG output."""
 
+import errno
+import io
 import json
+import multiprocessing
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -194,6 +199,16 @@ CSV_CORPUS = {
     "logit_row": H2 + "1,2.5,-1.0\n",
     "negative_zero": H2 + "1,-0,1\n",
     "subnormal": H2 + "1,5e-324,1\n",
+    # many lines, so that ranges cut at a few bytes end at most of them
+    "crlf_many": "label,s1,s2\r\n" + "1,0.7,0.3\r\n2,0.25,0.75\r\n" * 6,
+    "lone_cr_many": H2 + "1,0.7,0.3\r2,0.25,0.75\r" * 6 + "1,0.5,0.5\n" + "2,0.5,0.5\r\n" * 3,
+    "blank_run": H2 + ("1,0.7,0.3\n" + "\n" * 12) * 4,
+    "whitespace_run": H2 + "1,0.7,0.3\n" * 5 + " \t \n" * 4 + "1,0.7,0.3\n" * 5,
+    "no_final_newline_many": H2 + "1,0.7,0.3\n" * 8 + "2,0.25,0.75",
+    "multibyte_ends": H2 + "1,0.7,0.3\u3000\n" * 6 + "2,0.25,\u00e90.75\n" + "1,0.7,0.3\n" * 3,
+    "quoted_late": H2 + "1,0.7,0.3\n" * 8 + '2,"0.25",0.75\n' + "1,0.7,0.3\n" * 3,
+    "ragged_late": H2 + "1,0.7,0.3\n" * 10 + "1,0.2,0.3,0.5\n" + "1,0.7,0.3\n",
+    "bad_sum_late": H2 + "1,0.7,0.3\n" * 10 + "1,0.5,0.3\n" + "1,0.7,0.3\n" * 2,
 }
 
 JSONL_CORPUS = {
@@ -242,6 +257,15 @@ JSONL_CORPUS = {
     "logit_row": '{"label": 1, "scores": [2.5, -1.0]}\n',
     "negative_zero": '{"label": 1, "scores": [-0.0, 1.0]}\n',
     "bad_utf8": '{"label": 1, "scores": [0.7, 0.3]}\n' * 400 + "\udcff\n",
+    "crlf_many": '{"label": 1, "scores": [0.7, 0.3]}\r\n' * 8,
+    "lone_cr_many": '{"label": 1, "scores": [0.7, 0.3]}\r' * 8 + '{"label": 2, "scores": [0.5, 0.5]}\n' * 2,
+    "blank_run": ('{"label": 1, "scores": [0.7, 0.3]}\n' + "\n" * 40 + " \t\n") * 3,
+    "no_final_newline_many": '{"label": 1, "scores": [0.7, 0.3]}\n' * 8 + '{"label": 2, "scores": [0.25, 0.75]}',
+    "multibyte_ends": '{"label": 1, "scores": [0.7, 0.3], "\u00e9": 1}\n' * 8,
+    "multibyte_garbage": '{"label": 1, "scores": [0.7, 0.3]}\n' * 8 + '{"label": 1, "scores": [0.7, 0.3]}\u00e9\n',
+    "string_late": '{"label": 1, "scores": [0.7, 0.3]}\n' * 8 + '{"label": 1, "scores": ["0.7", 0.3]}\n',
+    "k_changes": '{"label": 1, "scores": [0.7, 0.3]}\n' * 8 + '{"label": 1, "scores": [0.2, 0.3, 0.5]}\n' * 8,
+    "bad_sum_late": '{"label": 1, "scores": [0.7, 0.3]}\n' * 10 + '{"label": 1, "scores": [0.5, 0.3]}\n',
 }
 CSV_CORPUS["bad_utf8"] = H2 + "1,0.7,0.3\n" * 1000 + "1,0.7,\udcff\n"
 
@@ -250,6 +274,18 @@ LOAD_MODES = [
     (ScoreKind.PROBABILITIES, True),
     (ScoreKind.LOGITS, False),
 ]
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Bodies read in ranges of a few bytes and written in blocks of a few
+    values, all on a fork pool of three workers whatever the machine."""
+    monkeypatch.setattr(fio, "_SPAN_BYTES", 8)
+    monkeypatch.setattr(fio, "_BLOCK_VALUES", 5)
+    monkeypatch.setattr(fio, "_POOL_MIN_BYTES", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _outcome(load, *args):
@@ -270,10 +306,15 @@ def _corpus_cases():
 class TestVectorizedPass:
     @pytest.mark.parametrize("fmt, text", _corpus_cases())
     @pytest.mark.parametrize("kind, renormalize", LOAD_MODES)
-    def test_matches_line_by_line_parser(self, tmp_path, fmt, text, kind, renormalize):
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    def test_matches_line_by_line_parser(
+        self, request, tmp_path, fmt, text, kind, renormalize, chunked
+    ):
         path = tmp_path / f"p.{fmt.value}"
         path.write_bytes(text.encode(errors="surrogateescape"))
         expected = _outcome(fio._load_by_line, path, fmt, kind, renormalize)
+        if chunked:
+            request.getfixturevalue("pooled")
         assert _outcome(load_predictions, path, fmt, kind, renormalize) == expected
 
     @pytest.mark.parametrize(
@@ -317,6 +358,165 @@ class TestVectorizedPass:
         with mock.patch.object(fio, "_load_by_line", return_value=sentinel) as reference:
             assert load_predictions(path, fmt) is sentinel
         reference.assert_called_once()
+
+
+def _sample(n, k=3):
+    rng = np.random.default_rng(n)
+    return PredictionSet(rng.dirichlet(np.ones(k), size=n), rng.integers(1, k + 1, size=n))
+
+
+def _spy_on_pools(monkeypatch):
+    spy = mock.Mock(wraps=multiprocessing.get_context)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return spy
+
+
+def _forbid_pools(monkeypatch):
+    error = AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing, "get_context", mock.Mock(side_effect=error))
+
+
+def _fail_in_worker(*args):
+    raise OSError(errno.EIO, f"I/O error in process {os.getpid()}")
+
+
+class TestForkPool:
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_chunked_load_runs_on_a_fork_pool(self, tmp_path, monkeypatch, pooled, fmt):
+        preds = _sample(40)
+        path = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, path)
+        spy = _spy_on_pools(monkeypatch)
+        with mock.patch.object(fio, "_load_by_line", side_effect=AssertionError("fell back")):
+            loaded = load_predictions(path)
+        spy.assert_called_once_with("fork")
+        assert loaded.scores.tobytes() == preds.scores.tobytes()
+        np.testing.assert_array_equal(loaded.labels, preds.labels)
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_pool_writes_the_sequential_bytes(self, request, tmp_path, monkeypatch, fmt, n):
+        preds = _sample(n)
+        sequential = tmp_path / f"seq.{fmt.value}"
+        save_predictions(preds, sequential)
+        request.getfixturevalue("pooled")
+        spy = _spy_on_pools(monkeypatch)
+        pooled_path = tmp_path / f"pool.{fmt.value}"
+        save_predictions(preds, pooled_path)
+        assert pooled_path.read_bytes() == sequential.read_bytes()
+        # one block (n = 1) or none needs no pool
+        assert spy.call_count == (n > 1)
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_small_files_start_no_pool(self, tmp_path, monkeypatch, fmt):
+        _forbid_pools(monkeypatch)
+        # several ranges, read one after the other in this process
+        monkeypatch.setattr(fio, "_SPAN_BYTES", 1000)
+        preds = _sample(2000)
+        path = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, path)
+        assert path.stat().st_size > 10 * fio._SPAN_BYTES
+        with mock.patch.object(fio, "_load_by_line", side_effect=AssertionError("fell back")):
+            loaded = load_predictions(path)
+        assert loaded.scores.tobytes() == preds.scores.tobytes()
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_one_cpu_takes_the_sequential_path(self, tmp_path, monkeypatch, pooled, fmt):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        _forbid_pools(monkeypatch)
+        preds = _sample(40)
+        path = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, path)
+        assert load_predictions(path).scores.tobytes() == preds.scores.tobytes()
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, pooled, fmt):
+        preds = _sample(40)
+        path = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(fio, "_read_span", _fail_in_worker)
+        with pytest.raises(OSError) as load_error:
+            load_predictions(path)
+        emit = "_csv_block" if fmt is FileFormat.CSV else "_jsonl_block"
+        monkeypatch.setattr(fio, emit, _fail_in_worker)
+        with pytest.raises(OSError) as save_error:
+            save_predictions(preds, path)
+        for error in (load_error.value, save_error.value):
+            assert type(error) is OSError and error.errno == errno.EIO
+            assert int(error.strerror.rsplit(" ", 1)[1]) != os.getpid()
+        assert os.listdir(tmp_path) == [path.name]
+        assert path.read_bytes() == old
+
+
+class TestReferenceParser:
+    def test_csv_is_streamed(self, tmp_path):
+        # a quoted first label sends the file to the line-by-line parser
+        tenth = ",0.1000000000000000055511151231257827021181583404541015625"
+        row = tenth * 10 + "\n"
+        path = tmp_path / "p.csv"
+        path.write_text(H10 + '"1"' + row + ("1" + row) * 7000)
+        size = path.stat().st_size
+        assert size > 4_000_000
+
+        def whole_text_parser():
+            # the parser as it was: the whole text, then an io.StringIO of it
+            labels, rows, lines = fio._load_csv(io.StringIO(path.read_text()))
+            scores = fio._validate_rows(np.asarray(rows, dtype=float), lines, False)
+            return PredictionSet(scores, np.asarray(labels, dtype=int))
+
+        def streaming_parser():
+            return fio._load_by_line(path, FileFormat.CSV, ScoreKind.PROBABILITIES, False)
+
+        peaks = []
+        for parse in (whole_text_parser, streaming_parser):
+            tracemalloc.start()
+            try:
+                assert parse().n == 7001
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] >= 3 * size
+
+    @pytest.mark.parametrize(
+        "text",
+        [CSV_CORPUS["bad_utf8"], H2 + "1,abc,0.3\n" + "1,0.7,0.3\n" * 1000 + "\udcff\n"],
+        ids=["bad_byte", "bad_row_then_bad_byte"],
+    )
+    def test_decode_error_names_the_file_offset(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text()
+        with pytest.raises(UnicodeDecodeError) as raised:
+            load_predictions(path)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.start > 8192  # past the first block a text file decodes
+
+
+class TestWriters:
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    def test_raising_body_leaves_no_temp_file(self, tmp_path, old):
+        target = tmp_path / "out.csv"
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises(KeyboardInterrupt):
+            with fio._atomic_writer(target) as fh:
+                fh.write("new\n")
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == ([] if old is None else [target.name])
+        if old is not None:
+            assert target.read_text() == old
+
+    def test_renormalize_matches_two_clip_formula(self):
+        rng = np.random.default_rng(3)
+        scores = rng.dirichlet(np.ones(7), size=500) * rng.uniform(0.5, 2.0, (500, 1))
+        scores[::7, 0] = -5e-7
+        scores[::11, 1] = 0.0
+        before = scores.copy()
+        expected = np.clip(scores, 0.0, None) / np.clip(scores, 0.0, None).sum(axis=1)[:, None]
+        assert fio._validate_rows(scores, None, True).tobytes() == expected.tobytes()
+        assert scores.tobytes() == before.tobytes()
 
 
 def _reference_text(preds, fmt):
