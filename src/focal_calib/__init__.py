@@ -27,7 +27,6 @@ from .core import (
     confidence_weight,
     focal_loss,
     is_uniform_on_support,
-    one_hot,
     recover_binary,
     recover_posterior,
     recover_posterior_rows,
@@ -64,7 +63,6 @@ from .minimizer import (
     confidence_curve,
     minimize_risk_inverse,
     minimize_risk_pg,
-    project_to_simplex,
 )
 from .synth import (
     MlpModel,
@@ -144,9 +142,7 @@ __all__ = [
     "minimize_risk_inverse",
     "minimize_risk_pg",
     "nll",
-    "one_hot",
     "overconfidence_threshold",
-    "project_to_simplex",
     "recover_binary",
     "recover_posterior",
     "recover_posterior_rows",

@@ -117,17 +117,6 @@ def as_simplex(p, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return arr.clip(0.0, 1.0)
 
 
-def one_hot(y: int, k: int) -> np.ndarray:
-    """One-hot vector for 1-based class ``y`` among ``k`` classes."""
-    if k < 2:
-        raise DimensionError(f"need k >= 2 classes, got {k}")
-    if not 1 <= y <= k:
-        raise DomainError(f"label {y} outside [1..{k}]")
-    e = np.zeros(k)
-    e[y - 1] = 1.0
-    return e
-
-
 def _focal_terms(p: np.ndarray, g) -> np.ndarray:
     # the focal kernel (1 - p)^g * log p; callers clamp p and weight the
     # sum.  g is a float or an array that broadcasts against p; the

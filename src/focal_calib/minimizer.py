@@ -15,9 +15,13 @@ provided:
 * :func:`minimize_risk_inverse` solves the stationarity condition by
   Newton's method on the one log-domain score map, ``core._log_score``,
   for a whole ``(n, k)`` stack of posteriors at once.
-* :func:`minimize_risk_pg` runs projected gradient descent with Euclidean
-  projection onto the simplex and a backtracking line search, touching
-  none of the score-map machinery.
+* :func:`minimize_risk_pg` is the first-order oracle: entropic mirror
+  descent (exponentiated gradient, ``q <- q * exp(-s * grad W)``
+  normalized) with a per-row Armijo line search, batched over the same
+  stacks.  It evaluates only the risk and its gradient and touches none
+  of the score-map machinery.  The normalization is the KL projection
+  onto the simplex, so the method is projected gradient in the entropy's
+  geometry; no Euclidean projection is used.
 
 Agreement between the two is the main numerical cross-check of the
 recovery transform: applying ``recover_posterior`` to either solution
@@ -35,7 +39,6 @@ from .core import (
     SIMPLEX_TOL,
     argmax_lowest,
     as_simplex,
-    focal_loss,
     require_gamma,
     validate_simplex_rows,
 )
@@ -47,8 +50,13 @@ _CAP_SUM_TOL = 1e-9        # sum defect still accepted at the step cap
 _STEP_TOL = 1e-14          # largest q_i move of the Newton step left undone
 _Q_MIN = np.nextafter(0.0, 1.0)
 _Q_MAX = np.nextafter(1.0, 0.0)
-_GRAD_EPS = 1e-12
-_KKT_SUPPORT_FLOOR = 1e-9
+_GRAD_EPS = 1e-12          # floor on 1 - q_i in the oracle's risk terms
+# sufficient-decrease fraction of the line search; near 0 it lets the step
+# settle just under 2/L, where the iterates swing across the minimum and
+# shrink its distance by a fraction of a percent per iteration
+_ARMIJO = 0.3
+_MOVE_TOL = 1e-15          # largest q_i move of a row that has stopped moving
+_LOG_HEAD_CAP = 600.0      # cap on a candidate's scaled log risk terms
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class RiskMinimizerResult:
     array.  ``iterations`` (an ``int``) and ``residual`` (a ``float``) are
     the solver's own measures, the largest over the rows: Newton steps and
     the simplex-sum defect for the inverse solver, iterations and the
-    scaled KKT residual for projected gradient.
+    relative spread of the risk gradient on the support for the oracle.
     """
 
     q_star: np.ndarray
@@ -155,6 +163,21 @@ def _row_risks(q: np.ndarray, eta: np.ndarray, g: float) -> np.ndarray:
     return -np.where(active, eta * terms, 0.0).sum(axis=1)
 
 
+def _posterior_rows(eta) -> tuple[np.ndarray, bool]:
+    # eta as a checked (n, k) stack clipped into [0, 1], and whether it was one vector
+    arr = np.asarray(eta, dtype=float)
+    if arr.ndim == 1:
+        return as_simplex(arr)[None, :], True
+    return validate_simplex_rows(arr, SIMPLEX_TOL).clip(0.0, 1.0), False
+
+
+def _result(q, eta, g, single, iterations, residual) -> RiskMinimizerResult:
+    risk = _row_risks(q, eta, g)
+    if single:
+        return RiskMinimizerResult(q[0], float(risk[0]), iterations, residual)
+    return RiskMinimizerResult(q, risk, iterations, residual)
+
+
 def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinimizerResult:
     """Minimize the pointwise risk by solving the stationarity condition.
 
@@ -172,9 +195,7 @@ def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinim
     g = require_gamma(gamma)
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    arr = np.asarray(eta, dtype=float)
-    single = arr.ndim == 1
-    ee = as_simplex(arr)[None, :] if single else validate_simplex_rows(arr, SIMPLEX_TOL).clip(0.0, 1.0)
+    ee, single = _posterior_rows(eta)
     q = ee.copy()
     iterations, residual = 0, 0.0
     if g > 0.0:
@@ -184,46 +205,119 @@ def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinim
         general = ~one_class
         if general.any():
             q[general], iterations, residual = _newton_rows(ee[general], g, tol)
-    risk = _row_risks(q, ee, g)
-    if single:
-        return RiskMinimizerResult(q[0], float(risk[0]), iterations, residual)
-    return RiskMinimizerResult(q, risk, iterations, residual)
+    return _result(q, ee, g, single, iterations, residual)
 
 
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
-    u = np.sort(arr)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, arr.size + 1)
-    rho = ind[u - css / ind > 0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(arr - theta, 0.0)
+def _log_heads(q: np.ndarray, log_eta: np.ndarray, g: float):
+    # log(eta_i (1 - q_i)^g), -inf off the support where log_eta is, and
+    # 1 - q_i floored at _GRAD_EPS
+    om = (1.0 - q).clip(_GRAD_EPS, 1.0)
+    return log_eta + g * np.log(om), om
 
 
-def _risk_value(q: np.ndarray, eta: np.ndarray, g: float) -> float:
-    qc = q.clip(_GRAD_EPS, 1.0)
-    return float(-(eta * core._focal_terms(qc, g)).sum())
+def _risk_value(log_head: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    # -sum_i head_i log q_i per row.  Capping the exponent keeps a wild
+    # candidate's risk finite; it is then far above the current risk, whose
+    # heads are at most 1, so the line search still rejects it.
+    return -(np.exp(np.minimum(log_head, _LOG_HEAD_CAP)) * log_q).sum(axis=1)
 
 
-def _risk_gradient(q: np.ndarray, eta: np.ndarray, g: float) -> np.ndarray:
-    qc = q.clip(_GRAD_EPS, 1.0 - _GRAD_EPS)
-    om = 1.0 - qc
-    return eta * (g * om ** (g - 1.0) * np.log(qc) - om**g / qc)
+def _scaled_state(q: np.ndarray, log_q: np.ndarray, log_eta: np.ndarray, g: float):
+    """Risk and gradient at an iterate, divided per row by its largest head.
+
+    With ``head_i = eta_i (1 - q_i)^g`` the risk is ``-sum_i head_i log q_i``
+    and its gradient ``head_i (g log q_i / (1 - q_i) - 1 / q_i)``.  Both are
+    divided by ``exp(shift)``, ``shift = max_i log head_i``, so at large g,
+    where every head underflows, they stay finite and nonzero.  Returns
+    ``(shift, risk, gradient)``.
+    """
+    log_head, om = _log_heads(q, log_eta, g)
+    shift = log_head.max(axis=1)
+    log_head -= shift[:, None]
+    # eta_i / q_i is taken in the log domain, where q_i may be tiny
+    grad = g * np.exp(log_head) * log_q / om - np.exp(log_head - log_q)
+    return shift, _risk_value(log_head, log_q), grad
 
 
-def _kkt_residual(q: np.ndarray, eta: np.ndarray, g: float) -> float:
-    """Scaled stationarity defect: gradient spread on the support plus any
-    off-support component that undercuts the common multiplier."""
-    grad = _risk_gradient(q, eta, g)
-    supp = q > _KKT_SUPPORT_FLOOR
-    gs = grad[supp]
-    r = float(gs.max() - gs.min())
-    if np.any(~supp):
-        r = max(r, max(0.0, float(gs.mean() - grad[~supp].min())))
-    return r / max(1.0, float(np.abs(gs).max()))
+def _spread(grad: np.ndarray, support: np.ndarray) -> np.ndarray:
+    # relative spread of the gradient on the support; it is negative there
+    hi = np.where(support, grad, -np.inf).max(axis=1)
+    lo = np.where(support, grad, np.inf).min(axis=1)
+    return (hi - lo) / -lo
+
+
+def _mirror_step(log_q, grad, step, support):
+    # log q - step * grad, renormalized on the support in the log domain
+    z = np.where(support, log_q - step[:, None] * grad, -np.inf)
+    z -= z.max(axis=1, keepdims=True)
+    log_c = np.where(support, z - np.log(np.exp(z).sum(axis=1, keepdims=True)), 0.0)
+    return np.where(support, np.exp(log_c), 0.0), log_c
+
+
+def _mirror_rows(
+    eta: np.ndarray, g: float, tol: float, max_iters: int
+) -> tuple[np.ndarray, int, float]:
+    """Entropic mirror descent for rows with at least two positive entries.
+
+    Each iterate is ``q <- q * exp(-s * grad W)`` normalized, the KL
+    projection onto the simplex, kept as its exact log so that no zero
+    reaches ``log``.  Risk, gradient and step are scaled per row (see
+    ``_scaled_state``).  Each row starts at the uniform vector on its
+    support with step ``s = 1 / max|grad W|``, doubles its step at every
+    iteration and halves it until the Armijo condition holds.  A row stops
+    once the relative spread of ``grad W`` on its support is at most
+    ``tol``, or once its accepted step moves no ``q_i`` by more than
+    ``_MOVE_TOL`` (the line search is at float resolution, which on this
+    convex objective is numerical optimality).  Stopped rows are frozen.
+    """
+    support = eta > 0.0
+    log_eta = np.full_like(eta, -np.inf)
+    log_eta[support] = np.log(eta[support])
+    log_q = np.where(support, -np.log(support.sum(axis=1, keepdims=True)), 0.0)
+    q = np.where(support, np.exp(log_q), 0.0)
+    shift, f, grad = _scaled_state(q, log_q, log_eta, g)
+    spread = _spread(grad, support)
+    step = 1.0 / np.abs(grad).max(axis=1)
+    stalled = np.zeros(eta.shape[0], dtype=bool)
+
+    q_star = np.zeros_like(eta)
+    rows = np.arange(eta.shape[0])
+    iterations, residual = 0, 0.0
+    while True:
+        done = (spread <= tol) | stalled
+        if done.any():
+            q_star[rows[done]] = q[done]
+            residual = max(residual, float(spread[done].max()))
+            keep = ~done
+            rows, log_eta, support = rows[keep], log_eta[keep], support[keep]
+            q, log_q, shift, f, grad = q[keep], log_q[keep], shift[keep], f[keep], grad[keep]
+            spread, step = spread[keep], step[keep]
+        if rows.size == 0:
+            return q_star, iterations, residual
+        if iterations == max_iters:
+            raise ConvergenceError("mirror descent hit the iteration cap", float(spread.max()))
+        iterations += 1
+        step *= 2.0
+        q_new, log_new = q.copy(), log_q.copy()
+        pending = np.arange(rows.size)
+        while pending.size:
+            sup = support[pending]
+            qc, lc = _mirror_step(log_q[pending], grad[pending], step[pending], sup)
+            log_head, _ = _log_heads(qc, log_eta[pending], g)
+            fc = _risk_value(log_head - shift[pending, None], lc)
+            d = qc - q[pending]
+            ok = fc <= f[pending] + _ARMIJO * (grad[pending] * d).sum(axis=1)
+            ok |= np.abs(d).max(axis=1) <= _MOVE_TOL
+            took = pending[ok]
+            q_new[took], log_new[took] = qc[ok], lc[ok]
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        stalled = np.abs(q_new - q).max(axis=1) <= _MOVE_TOL
+        q, log_q = q_new, log_new
+        old_shift = shift
+        shift, f, grad = _scaled_state(q, log_q, log_eta, g)
+        step *= np.exp(shift - old_shift)
+        spread = _spread(grad, support)
 
 
 def minimize_risk_pg(
@@ -232,47 +326,35 @@ def minimize_risk_pg(
     tol: float = 1e-9,
     max_iters: int = 100_000,
 ) -> RiskMinimizerResult:
-    """Minimize the pointwise risk by projected gradient descent.
+    """Minimize the pointwise risk by entropic mirror descent.
 
-    First-order oracle independent of the score-map inversion: Euclidean
-    projection onto the simplex, monotone backtracking line search
-    (halving until sufficient decrease, re-doubling between iterations).
-    Stops when the scaled KKT residual falls below ``tol`` or when the
-    iterate can no longer move in float64 (the line search stalls at
-    machine precision, which on this convex objective is numerical
-    optimality; the achieved residual is reported in the result).  Raises
-    ``ConvergenceError`` carrying the residual only when the iteration cap
-    is exhausted first.
+    The first-order oracle, independent of the score-map inversion: it
+    evaluates only the risk and its gradient.  Each step multiplies ``q``
+    by ``exp(-s * grad W)`` and normalizes, which is the KL projection onto
+    the simplex, so the method is a projected gradient in the entropy's
+    geometry (exponentiated gradient), with a per-row Armijo line search.
+    ``eta`` is one posterior or an ``(n, k)`` stack, each row solved
+    independently and bit-identical to solving it alone at the same k (a
+    vector is the one-row case).  Classes with ``eta_i == 0`` get ``q_i == 0`` exactly
+    and a one-class support gets its one-hot vector.  A row stops when the
+    relative spread of the gradient on its support is at most ``tol`` or
+    when its iterate stops moving in float64; ``residual`` is the largest
+    spread reached and ``iterations`` the largest iteration count.
+    Raises ``ConvergenceError`` carrying the residual when a row is still
+    running after ``max_iters`` iterations.
     """
     g = require_gamma(gamma)
     if tol <= 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    ee = as_simplex(eta)
-    k = ee.size
-    q = np.full(k, 1.0 / k)
-    f = _risk_value(q, ee, g)
-    step = 1.0
-    for t in range(1, max_iters + 1):
-        grad = _risk_gradient(q, ee, g)
-        step = min(step * 2.0, 1e6)
-        cand, fc = q, f
-        for _ in range(80):
-            cand = project_to_simplex(q - step * grad)
-            fc = _risk_value(cand, ee, g)
-            d = cand - q
-            if fc <= f + 1e-4 * float(grad @ d) or np.abs(d).max() < 1e-17:
-                break
-            step *= 0.5
-        moved = float(np.abs(cand - q).max())
-        q, f = cand, fc
-        if t % 20 == 0 or moved < 1e-15:
-            residual = _kkt_residual(q, ee, g)
-            if residual <= tol or moved < 1e-15:
-                return RiskMinimizerResult(q, focal_loss(q, ee, g), t, residual)
-    residual = _kkt_residual(q, ee, g)
-    if residual > tol:
-        raise ConvergenceError("projected gradient hit the iteration cap", residual)
-    return RiskMinimizerResult(q, focal_loss(q, ee, g), max_iters, residual)
+    ee, single = _posterior_rows(eta)
+    support = ee > 0.0
+    m = support.sum(axis=1, keepdims=True)
+    q = support / m
+    iterations, residual = 0, 0.0
+    general = m[:, 0] > 1
+    if general.any():
+        q[general], iterations, residual = _mirror_rows(ee[general], g, tol, max_iters)
+    return _result(q, ee, g, single, iterations, residual)
 
 
 def confidence_curve(k: int, gamma: float, grid_size: int = 100) -> list[tuple[float, float]]:

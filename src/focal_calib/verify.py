@@ -85,25 +85,47 @@ def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarra
         k *= 2
 
 
-def _check_round_trip(rng, gammas, ks, n_random) -> VerifyCheck:
-    worst = 0.0
+def _posterior_groups(rng, gammas, ks, n_random):
+    """Draw ``n_random`` (gamma, posterior) pairs and stack them by gamma.
+
+    Each draw takes its gamma and then its posterior.  Each gamma's
+    posteriors are zero-padded to the group's largest k, which adds
+    classes with ``eta_i == 0`` that every solver keeps at exactly 0.
+    Returns ``(gamma, (n, k) stack)`` pairs.
+    """
+    groups: dict[float, list[np.ndarray]] = {}
     for _ in range(n_random):
         gamma = float(rng.choice(gammas))
-        eta = _random_simplex(rng, int(rng.choice(ks)))
-        q_star = minimize_risk_inverse(eta, gamma).q_star
-        worst = max(worst, float(np.abs(recover_posterior(q_star, gamma) - eta).max()))
+        groups.setdefault(gamma, []).append(_random_simplex(rng, int(rng.choice(ks))))
+    stacks = []
+    for gamma, etas in groups.items():
+        stack = np.zeros((len(etas), max(eta.size for eta in etas)))
+        for row, eta in zip(stack, etas):
+            row[: eta.size] = eta
+        stacks.append((gamma, stack))
+    return stacks
+
+
+def _check_round_trip(rng, gammas, ks, n_random) -> VerifyCheck:
+    worst = 0.0
+    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
+        q_star = minimize_risk_inverse(etas, gamma).q_star
+        worst = max(worst, float(np.abs(recover_posterior_rows(q_star, gamma) - etas).max()))
     return VerifyCheck("recovery_round_trip", n_random, worst, 1e-7, worst < 1e-7)
 
 
 def _check_solver_agreement(rng, gammas, ks, n_random) -> VerifyCheck:
-    worst = 0.0
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        eta = _random_simplex(rng, int(rng.choice(ks)))
-        qi = minimize_risk_inverse(eta, gamma).q_star
-        qp = minimize_risk_pg(eta, gamma).q_star
-        worst = max(worst, float(np.abs(qi - qp).max()))
-    return VerifyCheck("solver_agreement", n_random, worst, 1e-5, worst < 1e-5)
+    worst, iterations, residual = 0.0, 0, 0.0
+    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
+        qi = minimize_risk_inverse(etas, gamma).q_star
+        oracle = minimize_risk_pg(etas, gamma)
+        worst = max(worst, float(np.abs(qi - oracle.q_star).max()))
+        iterations = max(iterations, oracle.iterations)
+        residual = max(residual, oracle.residual)
+    return VerifyCheck(
+        "solver_agreement", n_random, worst, 1e-5, worst < 1e-5,
+        detail=f"oracle iterations={iterations} residual={residual:.1e}",
+    )
 
 
 def _check_threshold_ordering(gammas) -> VerifyCheck:
@@ -291,12 +313,13 @@ def _check_order_preserving(rng, gammas, ks, n_random) -> VerifyCheck:
     from .minimizer import argmax_matches, preserves_order
 
     failures = 0
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        eta = _random_simplex(rng, int(rng.choice(ks)))
-        q = minimize_risk_inverse(eta, gamma).q_star
-        if not (preserves_order(q, eta) and argmax_matches(q, eta)):
-            failures += 1
+    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
+        # padded classes are 0 in both, which neither test can fault
+        q_star = minimize_risk_inverse(etas, gamma).q_star
+        failures += sum(
+            not (preserves_order(q, eta) and argmax_matches(q, eta))
+            for q, eta in zip(q_star, etas)
+        )
     return VerifyCheck(
         "order_preserving", n_random, float(failures), 1.0, failures == 0,
         detail="minimizer keeps the posterior ordering and argmax",

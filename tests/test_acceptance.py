@@ -79,11 +79,18 @@ def test_criterion_01_round_trip(sweep, inverse_solutions):
 
 
 def test_criterion_02_oracle_equivalence(sweep, inverse_solutions):
+    # one batched oracle call per gamma; each posterior is zero-padded to
+    # the largest k, and its padded classes must come back exactly 0
     solutions, _ = inverse_solutions
+    width = max(eta.size for _, eta in sweep)
     worst = 0.0
-    for (gamma, eta), qi in zip(sweep, solutions):
-        qp = minimize_risk_pg(eta, gamma).q_star
-        worst = max(worst, float(np.abs(qi - qp).max()))
+    for gamma in SWEEP_GAMMAS:
+        group = [(eta, qi) for (g, eta), qi in zip(sweep, solutions) if g == gamma]
+        etas = np.array([np.pad(eta, (0, width - eta.size)) for eta, _ in group])
+        qp = minimize_risk_pg(etas, gamma).q_star
+        for (eta, qi), row in zip(group, qp):
+            worst = max(worst, float(np.abs(qi - row[: eta.size]).max()))
+            assert np.all(row[eta.size :] == 0.0)
     ok = worst < 1e-5
     assert _report(2, ok, f"solver L-inf disagreement worst={worst:.3e}"), worst
 

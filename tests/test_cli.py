@@ -302,6 +302,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_large_gamma_passes(self, capsys):
+        assert main(["verify", "--gamma-list", "100"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [row for row in out.splitlines() if "solver_agreement" in row]
+        assert line.startswith("PASS ")
+        assert "all checks passed" in out
+
     def test_zero_samples_is_data_error(self, capsys):
         assert main(["verify", "--n-random", "0"]) == 3
         assert "n_random" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from focal_calib import (
     confidence_weight,
     focal_loss,
     is_uniform_on_support,
-    one_hot,
     recover_binary,
     recover_posterior,
     recover_posterior_rows,
@@ -82,7 +81,7 @@ class TestSimplexValidation:
 
 class TestFocalLoss:
     def test_one_hot_match_is_zero(self):
-        e = one_hot(1, 2)
+        e = np.eye(2)[0]
         assert focal_loss(e, e, 2.0) == 0.0
 
     def test_gamma_zero_is_cross_entropy_value(self):
@@ -181,7 +180,7 @@ class TestRecoveryScore:
 
 class TestUniformOnSupport:
     def test_one_hot(self):
-        assert is_uniform_on_support(one_hot(2, 4), 1e-9)
+        assert is_uniform_on_support(np.eye(4)[1], 1e-9)
 
     def test_uniform(self):
         assert is_uniform_on_support(np.full(5, 0.2), 1e-9)
@@ -207,7 +206,7 @@ class TestRecoverPosterior:
         np.testing.assert_array_equal(recover_posterior(p, 3.0), p)
 
     def test_one_hot_passes_through(self):
-        e = one_hot(3, 3)
+        e = np.eye(3)[2]
         np.testing.assert_array_equal(recover_posterior(e, 5.0), e)
 
     def test_matches_binary_closed_form(self):

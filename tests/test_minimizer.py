@@ -1,9 +1,11 @@
-"""Risk minimizer: inverse solver, projected-gradient oracle, curve."""
+"""Risk minimizer: inverse solver, mirror-descent oracle, curve."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focal_calib.minimizer as minimizer
 from focal_calib import (
@@ -13,8 +15,6 @@ from focal_calib import (
     focal_loss,
     minimize_risk_inverse,
     minimize_risk_pg,
-    one_hot,
-    project_to_simplex,
     recover_binary,
     recover_posterior,
 )
@@ -28,27 +28,9 @@ def random_simplex(rng, k):
     return rng.dirichlet(np.ones(k))
 
 
-class TestProjection:
-    def test_already_on_simplex(self):
-        p = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(project_to_simplex(p), p, atol=1e-15)
-
-    def test_projects_to_vertex(self):
-        out = project_to_simplex(np.array([10.0, 0.0, -3.0]))
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_output_is_feasible(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = rng.normal(0, 5, size=int(rng.integers(2, 12)))
-            out = project_to_simplex(v)
-            assert out.min() >= 0.0
-            assert abs(out.sum() - 1.0) < 1e-12
-
-
 class TestInverseSolver:
     def test_one_hot_posterior(self):
-        e = one_hot(2, 4)
+        e = np.eye(4)[1]
         result = minimize_risk_inverse(e, 3.0)
         np.testing.assert_array_equal(result.q_star, e)
         assert result.risk == 0.0
@@ -124,7 +106,7 @@ class TestBatchedInverseSolver:
         rng = np.random.default_rng(9)
         etas = rng.dirichlet(np.ones(6), size=30)
         etas[3] = [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
-        etas[4] = one_hot(2, 6)
+        etas[4] = np.eye(6)[1]
         etas[5] = [0.0, 0.7, 0.0, 0.3, 0.0, 0.0]
         for gamma in (0.0, 0.5, 2.0, 5.0):
             batch = minimize_risk_inverse(etas, gamma)
@@ -152,6 +134,7 @@ class TestBatchedInverseSolver:
             minimize_risk_inverse(np.vstack([eta, eta[::-1]]), 2.0),
             minimize_risk_inverse(eta, 0.0),
             minimize_risk_pg(eta, 2.0),
+            minimize_risk_pg(np.vstack([eta, eta[::-1]]), 2.0),
         ):
             assert type(result.iterations) is int
             assert type(result.residual) is float
@@ -211,7 +194,7 @@ class TestBatchedInverseSolver:
 
 class TestProjectedGradientOracle:
     def test_one_hot(self):
-        e = one_hot(1, 3)
+        e = np.eye(3)[0]
         result = minimize_risk_pg(e, 1.0)
         np.testing.assert_allclose(result.q_star, e, atol=1e-6)
 
@@ -236,6 +219,52 @@ class TestProjectedGradientOracle:
         with pytest.raises(ConvergenceError) as info:
             minimize_risk_pg(eta, 2.0, tol=1e-13, max_iters=3)
         assert info.value.residual > 0.0
+
+    def test_large_gamma_agrees_with_inverse_solver(self):
+        etas = np.random.default_rng(0).dirichlet(np.ones(10), size=50)
+        qi = minimize_risk_inverse(etas, 100.0).q_star
+        qp = minimize_risk_pg(etas, 100.0).q_star
+        assert np.abs(qi - qp).max() < 1e-5
+
+    @pytest.mark.parametrize("gamma", [3000.0, 1e4])
+    def test_underflowing_risk_is_rescaled(self, gamma):
+        # near uniform, (1 - q_i)^gamma underflows for every entry at these
+        # gammas; the oracle scales the risk per row instead of stalling
+        etas = np.array(
+            [[0.9, 0.1, 0.0], [1.0 - 1e-9, 1e-9, 0.0], [0.5, 0.25, 0.25], [0.7, 0.2, 0.1]]
+        )
+        qi = minimize_risk_inverse(etas, gamma).q_star
+        qp = minimize_risk_pg(etas, gamma).q_star
+        assert np.abs(qi - qp).max() < 1e-5
+
+
+_POSTERIOR_ROWS = st.integers(2, 7).flatmap(
+    lambda k: st.lists(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=k, max_size=k
+        ).filter(lambda row: sum(row) > 0.0),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+class TestMirrorDescentProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_POSTERIOR_ROWS, gamma=st.sampled_from([0.0, 0.5, 2.0, 5.0, 100.0]))
+    def test_batched_oracle(self, rows, gamma):
+        etas = np.array(rows)
+        etas /= etas.sum(axis=1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack = minimize_risk_pg(etas, gamma)
+            alone = [minimize_risk_pg(eta, gamma) for eta in etas]
+        assert type(stack.iterations) is int and type(stack.residual) is float
+        assert np.all(stack.q_star[etas == 0.0] == 0.0)
+        for row, result in zip(stack.q_star, alone):
+            np.testing.assert_array_equal(row, result.q_star)
+        np.testing.assert_allclose(stack.q_star.sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(stack.q_star - minimize_risk_inverse(etas, gamma).q_star).max() < 1e-5
 
 
 class TestConfidenceCurve:

@@ -1,5 +1,7 @@
 """Verification-suite runner: pass/fail aggregation, negative control."""
 
+import re
+
 import numpy as np
 
 import focal_calib.core as core
@@ -38,12 +40,14 @@ class TestRunVerify:
         table = report.format_table()
         assert "recovery_round_trip" in table
         assert "PASS" in table
+        (line,) = [row for row in table.splitlines() if "solver_agreement" in row]
+        assert re.search(r"\[oracle iterations=[1-9]\d* residual=\d\.\de[-+]\d\d\]$", line)
 
     def test_corrupted_kernels_fail_checks(self, monkeypatch):
         # negative control.  The log weight kernel loses its log1p bracket
         # term, so the inverse solver and the transform invert the wrong map
         # together: they still agree with each other, but not with the
-        # projected-gradient solver or the two-class closed form, which
+        # mirror-descent oracle or the two-class closed form, which
         # never use the kernel.  The weight curve becomes (1 - v)^g, which
         # has no interior maximum and never returns to 1.
         monkeypatch.setattr(core, "_log_weight", lambda v, g: g * np.log1p(-v))
