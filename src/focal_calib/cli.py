@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +153,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_ts_fit(args) -> int:
-    preds = load_predictions(args.input, _format_arg(args.format), _kind_arg(args.kind))
+    preds = load_predictions(
+        args.input, _format_arg(args.format), _kind_arg(args.kind), args.renormalize
+    )
     objective = Objective.NLL if args.objective == "nll" else Objective.FOCAL
     fit = fit_temperature(preds, objective, args.gamma)
     print(f"temperature={fit.temperature:.6f}")
@@ -164,35 +166,41 @@ def _cmd_ts_fit(args) -> int:
     return EXIT_OK
 
 
+# the synth run's own config keys and defaults; the distribution and training
+# keys take theirs from default_distribution() and TrainConfig
+_RUN_DEFAULTS = {
+    "n_train": 10_000,
+    "n_test": 100_000,
+    "gammas": (1.0, 5.0),
+    "grid_lo": -6.0,
+    "grid_hi": 6.0,
+    "grid_n": 601,
+    "bins": 10,
+}
+
+
 def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, TrainConfig, dict]:
-    dist = default_distribution()
-    if {"priors", "means", "sigmas"} & cfg.keys():
-        dist = SyntheticDistribution(
-            priors=tuple(cfg.get("priors", dist.priors)),
-            means=tuple(cfg.get("means", dist.means)),
-            sigmas=tuple(cfg.get("sigmas", dist.sigmas)),
-        )
-    base = TrainConfig(
-        epochs=int(cfg.get("epochs", 50)),
-        batch_size=int(cfg.get("batch_size", 64)),
-        learning_rate=float(cfg.get("learning_rate", 0.01)),
-        momentum=float(cfg.get("momentum", 0.9)),
-        weight_decay=float(cfg.get("weight_decay", 1e-3)),
-        hidden=int(cfg.get("hidden", 64)),
-        seed=seed,
+    dist = asdict(default_distribution())
+    # each model sets its own gamma, and --seed sets the seed
+    train = {f.name: f.default for f in fields(TrainConfig) if f.name not in ("gamma", "seed")}
+    values = {**dist, **train, **_RUN_DEFAULTS}
+    unknown = sorted(cfg.keys() - values.keys())
+    if unknown:
+        raise CalibrationError(f"unknown synth config key {unknown[0]!r}")
+    for key, raw in cfg.items():
+        # a list key takes floats, a scalar key its default's type
+        convert = type(values[key])
+        try:
+            values[key] = tuple(map(float, raw)) if convert is tuple else convert(raw)
+        except (TypeError, ValueError):
+            raise CalibrationError(f"bad value for synth config key {key!r}: {raw!r}") from None
+    if values["grid_n"] < 1:
+        raise DomainError(f"grid_n must be >= 1, got {values['grid_n']}")
+    return (
+        SyntheticDistribution(**{key: values[key] for key in dist}),
+        TrainConfig(seed=seed, **{key: values[key] for key in train}),
+        {key: values[key] for key in _RUN_DEFAULTS},
     )
-    options = {
-        "n_train": int(cfg.get("n_train", 10_000)),
-        "n_test": int(cfg.get("n_test", 100_000)),
-        "gammas": [float(g) for g in cfg.get("gammas", [1.0, 5.0])],
-        "grid_lo": float(cfg.get("grid_lo", -6.0)),
-        "grid_hi": float(cfg.get("grid_hi", 6.0)),
-        "grid_n": int(cfg.get("grid_n", 601)),
-        "bins": int(cfg.get("bins", 10)),
-    }
-    if options["grid_n"] < 1:
-        raise DomainError(f"grid_n must be >= 1, got {options['grid_n']}")
-    return dist, base, options
 
 
 def _cmd_synth(args) -> int:

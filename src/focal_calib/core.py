@@ -293,7 +293,7 @@ def recover_posterior_rows(rows, gamma: float) -> np.ndarray:
     return _recover_rows(np.clip(arr, 0.0, 1.0), g)
 
 
-def recover_binary(q, gamma: float) -> float:
+def recover_binary(q, gamma: float):
     """Two-class posterior of the top class from its focal score ``q``.
 
     Closed form (independent of :func:`recover_posterior`):
@@ -302,19 +302,22 @@ def recover_binary(q, gamma: float) -> float:
         b = (1 - q)^g / q - g * (1 - q)^(g - 1) * log(q)
         posterior = a / (a + b)
 
-    Reduces to the identity at ``gamma == 0`` and exceeds ``q`` whenever
-    ``q in (0.5, 1)`` with ``gamma > 0``.  ``q`` must lie strictly inside
-    (0, 1).
+    evaluated in the log domain as ``1 / (1 + exp(log b - log a))`` with
+
+        log a = (g - 1) log q + log(q / (1 - q) - g log(1 - q)),
+
+    and ``log b`` likewise, so it stays finite where ``q^g`` and
+    ``(1 - q)^g`` both underflow.  Reduces to the identity at
+    ``gamma == 0`` and exceeds ``q`` whenever ``q in (0.5, 1)`` with
+    ``gamma > 0``.  ``q`` is a scalar or an array with every entry
+    strictly inside (0, 1); a scalar returns a float.
     """
     g = require_gamma(gamma)
-    qq = float(q)
-    if not 0.0 < qq < 1.0:
+    qq = np.asarray(q, dtype=float)
+    if not np.all((qq > 0.0) & (qq < 1.0)):
         raise DomainError(f"binary score must lie strictly inside (0, 1), got {q!r}")
-    a = qq**g / (1.0 - qq) - g * qq ** (g - 1.0) * np.log1p(-qq)
-    b = (1.0 - qq) ** g / qq - g * (1.0 - qq) ** (g - 1.0) * np.log(qq)
-    return float(a / (a + b))
-
-
-def argmax_lowest(p) -> int:
-    """Index of the largest entry, lowest index winning ties (0-based)."""
-    return int(np.argmax(np.asarray(p)))
+    log_q, log_om = np.log(qq), np.log1p(-qq)
+    log_a = (g - 1.0) * log_q + np.log(qq / (1.0 - qq) - g * log_om)
+    log_b = (g - 1.0) * log_om + np.log((1.0 - qq) / qq - g * log_q)
+    out = np.exp(-np.logaddexp(0.0, log_b - log_a))
+    return float(out) if qq.ndim == 0 else out

@@ -37,12 +37,11 @@ import numpy as np
 from . import core
 from .core import (
     SIMPLEX_TOL,
-    argmax_lowest,
     as_simplex,
     require_gamma,
     validate_simplex_rows,
 )
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import ConvergenceError, DomainError
 
 _NEWTON_ITERS = 100        # cap on Newton steps per inverse solve
 _SUM_TOL = 1e-12
@@ -377,18 +376,3 @@ def confidence_curve(k: int, gamma: float, grid_size: int = 100) -> list[tuple[f
     etas[:, 0] = tops
     q_top = minimize_risk_inverse(etas, g).q_star.max(axis=1)
     return list(zip(tops.tolist(), q_top.tolist()))
-
-
-def preserves_order(q, eta) -> bool:
-    """Check ``q_i < q_j  =>  eta_i < eta_j`` for every index pair."""
-    qq = np.asarray(q, dtype=float)
-    ee = np.asarray(eta, dtype=float)
-    if qq.shape != ee.shape:
-        raise DimensionError(f"shapes differ: {qq.shape} vs {ee.shape}")
-    less = qq[:, None] < qq[None, :]
-    return bool(np.all(~less | (ee[:, None] < ee[None, :])))
-
-
-def argmax_matches(q, eta) -> bool:
-    """True when both vectors share the same lowest-index argmax."""
-    return argmax_lowest(q) == argmax_lowest(eta)

@@ -7,7 +7,9 @@ on: the recovery round trip, agreement of the two independent risk
 minimizers, threshold ordering, the guaranteed over/underconfidence
 regions, fixed points, argmax preservation, the shape of the weight
 curve, monotonicity of the score map, and a finite, normalized recovery
-at large ``gamma``.
+at large ``gamma``.  Randomized rows are stacked per gamma and each
+stack goes through the solvers and the transform in one call.  A
+check's worst residual is one numpy max, so a NaN residual fails it.
 """
 
 from __future__ import annotations
@@ -17,16 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (
-    is_uniform_on_support,
-    recover_binary,
-    recover_posterior,
-    recover_posterior_rows,
-    recovery_score,
-)
+from .core import is_uniform_on_support, recover_binary, recover_posterior, recover_posterior_rows
 from .errors import DomainError
 from .minimizer import minimize_risk_inverse, minimize_risk_pg
-from .thresholds import Direction, Region, confidence_direction, confidence_region, thresholds
+from .thresholds import _DIRECTION_EPS, thresholds
 
 DEFAULT_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
 DEFAULT_KS = tuple(range(2, 11))
@@ -63,8 +59,17 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _random_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(k))
+def _check(name, samples, residuals, tol, detail="", ok=True) -> VerifyCheck:
+    # the worst residual is one numpy max over all of them, so a NaN fails
+    worst = float(np.max([np.max(r) for r in residuals]))
+    return VerifyCheck(name, samples, worst, tol, bool(ok and worst < tol), detail)
+
+
+def _by_gamma(rng, gammas, n: int) -> list[tuple[float, np.ndarray]]:
+    """Draw a gamma for each of ``n`` samples; return ``(gamma, sample positions)``."""
+    picks = rng.choice(np.asarray(gammas), n)
+    groups = [(gamma, np.flatnonzero(picks == gamma)) for gamma in dict.fromkeys(gammas)]
+    return [(gamma, index) for gamma, index in groups if index.size]
 
 
 def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarray:
@@ -85,289 +90,225 @@ def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarra
         k *= 2
 
 
-def _posterior_groups(rng, gammas, ks, n_random):
-    """Draw ``n_random`` (gamma, posterior) pairs and stack them by gamma.
+def _top_gaps(rng, ks, tops: np.ndarray, gamma: float) -> np.ndarray:
+    # top score minus recovered top posterior of _simplex_with_max rows, zero-padded
+    rows = [_simplex_with_max(rng, int(k), top) for k, top in zip(rng.choice(ks, tops.size), tops)]
+    stack = np.zeros((len(rows), max(row.size for row in rows)))
+    for dst, row in zip(stack, rows):
+        dst[: row.size] = row
+    return tops - recover_posterior_rows(stack, gamma).max(axis=1)
 
-    Each draw takes its gamma and then its posterior.  Each gamma's
-    posteriors are zero-padded to the group's largest k, which adds
-    classes with ``eta_i == 0`` that every solver keeps at exactly 0.
-    Returns ``(gamma, (n, k) stack)`` pairs.
+
+def _draw_checks(rng, gammas, ks, n: int, n_oracle: int) -> tuple[VerifyCheck, ...]:
+    """Round trip, solver agreement, argmax, order and gamma = 0 checks on one draw.
+
+    The ``n`` posteriors are Dirichlet(1, ..., 1) over a k drawn from
+    ``ks``.  Each gamma's stack is zero-padded to its largest k (classes
+    with ``eta_i == 0``, which every solver keeps at exactly 0) and solved
+    once by the inverse solver; the oracle solves the draw's first ``n_oracle``.
     """
-    groups: dict[float, list[np.ndarray]] = {}
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        groups.setdefault(gamma, []).append(_random_simplex(rng, int(rng.choice(ks))))
-    stacks = []
-    for gamma, etas in groups.items():
-        stack = np.zeros((len(etas), max(eta.size for eta in etas)))
-        for row, eta in zip(stack, etas):
-            row[: eta.size] = eta
-        stacks.append((gamma, stack))
-    return stacks
-
-
-def _check_round_trip(rng, gammas, ks, n_random) -> VerifyCheck:
-    worst = 0.0
-    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
-        q_star = minimize_risk_inverse(etas, gamma).q_star
-        worst = max(worst, float(np.abs(recover_posterior_rows(q_star, gamma) - etas).max()))
-    return VerifyCheck("recovery_round_trip", n_random, worst, 1e-7, worst < 1e-7)
-
-
-def _check_solver_agreement(rng, gammas, ks, n_random) -> VerifyCheck:
-    worst, iterations, residual = 0.0, 0, 0.0
-    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
-        qi = minimize_risk_inverse(etas, gamma).q_star
-        oracle = minimize_risk_pg(etas, gamma)
-        worst = max(worst, float(np.abs(qi - oracle.q_star).max()))
-        iterations = max(iterations, oracle.iterations)
-        residual = max(residual, oracle.residual)
-    return VerifyCheck(
-        "solver_agreement", n_random, worst, 1e-5, worst < 1e-5,
-        detail=f"oracle iterations={iterations} residual={residual:.1e}",
+    groups = _by_gamma(rng, gammas, n)
+    k = rng.choice(ks, n)
+    draws = rng.standard_exponential((n, k.max()))
+    draws[np.arange(k.max()) >= k[:, None]] = 0.0
+    draws /= draws.sum(axis=1, keepdims=True)
+    trip, agree, identity = [], [], []
+    iterations, residual, flipped, disordered = 0, 0.0, 0, 0
+    for gamma, index in groups:
+        etas = draws[index, : k[index].max()]
+        q = minimize_risk_inverse(etas, gamma).q_star
+        trip.append(np.abs(recover_posterior_rows(q, gamma) - etas))
+        first = index < n_oracle
+        if first.any():
+            oracle = minimize_risk_pg(etas[first], gamma)
+            agree.append(np.abs(q[first] - oracle.q_star))
+            iterations = max(iterations, oracle.iterations)
+            residual = max(residual, oracle.residual)
+        top = etas.argmax(axis=1)
+        flipped += np.count_nonzero(recover_posterior_rows(etas, gamma).argmax(axis=1) != top)
+        # q_i < q_j must imply eta_i < eta_j: sorted by eta, a row of q never
+        # falls and is constant across ties in eta (padded zeros tie in both)
+        by_eta = etas.argsort(axis=1)
+        dq = np.diff(np.take_along_axis(q, by_eta, axis=1), axis=1)
+        de = np.diff(np.take_along_axis(etas, by_eta, axis=1), axis=1)
+        ordered = np.all((dq >= 0.0) & ((de > 0.0) | (dq == 0.0)), axis=1)
+        disordered += np.count_nonzero(~ordered | (q.argmax(axis=1) != top))
+        # at gamma = 0 the inverse solver returns eta as it is, with no Newton step
+        identity.append(np.abs(recover_posterior_rows(etas, 0.0) - etas))
+        identity.append(np.abs(minimize_risk_inverse(etas, 0.0).q_star - etas))
+    return (
+        _check("recovery_round_trip", n, trip, 1e-7),
+        _check(
+            "solver_agreement", n_oracle, agree, 1e-5,
+            f"oracle iterations={iterations} residual={residual:.1e}",
+        ),
+        _check("argmax_preserved", n, [flipped], 1.0),
+        _check(
+            "order_preserving", n, [disordered], 1.0,
+            "minimizer keeps the posterior ordering and argmax",
+        ),
+        _check(
+            "gamma_zero_identity", n, identity, 1e-12,
+            "no transform needed for the cross-entropy minimizer",
+        ),
     )
 
 
 def _check_threshold_ordering(gammas) -> VerifyCheck:
-    worst = 0.0
-    ordered = True
+    residuals, ordered = [], True
     for gamma in gammas:
         pair = thresholds(gamma, 1e-10)
         ordered &= 0.0 < pair.tau_oc < pair.tau_uc < 0.5
         # the curve's maximum rises above 1 (by 0.017 at gamma = 0.1); a flat
         # curve would still leave 0 < tau_oc < tau_uc < 0.5 from the solvers
         ordered &= core.confidence_weight(pair.tau_oc, gamma) > 1.0
-        worst = max(worst, abs(core.confidence_weight(pair.tau_uc, gamma) - 1.0))
-    return VerifyCheck(
-        "threshold_ordering", len(gammas), worst, 1e-9, ordered and worst < 1e-9,
-        detail="0 < tau_oc < tau_uc < 0.5, w(tau_oc) > 1",
-    )
+        residuals.append(abs(core.confidence_weight(pair.tau_uc, gamma) - 1.0))
+    detail = "0 < tau_oc < tau_uc < 0.5, w(tau_oc) > 1"
+    return _check("threshold_ordering", len(gammas), residuals, 1e-9, detail, ordered)
 
 
-def _check_region_consistency(rng, gammas, ks, n_random) -> VerifyCheck:
-    """Guaranteed regions agree with the pointwise direction."""
+def _check_region_consistency(rng, gammas, ks, n) -> VerifyCheck:
+    """Rows drawn in a guaranteed region show its pointwise direction."""
     failures = 0
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
+    for gamma, index in _by_gamma(rng, gammas, n):
         pair = thresholds(gamma)
         # underconfident side: top score in [tau_uc, 1)
-        k = int(rng.choice(ks))
-        top = float(rng.uniform(pair.tau_uc, 0.97))
-        p = _simplex_with_max(rng, k, top)
-        if confidence_region(top, gamma) is not Region.UNDERCONFIDENT:
-            failures += 1
-        if confidence_direction(p, gamma) is not Direction.UNDER:
-            failures += 1
-        # overconfident side: top score in (1/k, tau_oc], needs many classes
-        top = float(rng.uniform(0.6 * pair.tau_oc, pair.tau_oc))
-        k_oc = int(np.ceil((1.0 - top) / top * 1.25)) + 1
-        tail = (1.0 - top) * rng.dirichlet(np.full(k_oc - 1, 50.0))
-        p_oc = np.concatenate([[top], tail])
-        if confidence_region(top, gamma) is not Region.OVERCONFIDENT:
-            failures += 1
-        if p_oc.max() == top and confidence_direction(p_oc, gamma) is not Direction.OVER:
-            failures += 1
-    return VerifyCheck(
-        "region_consistency", 2 * n_random, float(failures), 1.0, failures == 0,
-        detail="guaranteed regions match pointwise direction",
+        tops = rng.uniform(pair.tau_uc, 0.97, index.size)
+        under = _top_gaps(rng, ks, tops, gamma) < -_DIRECTION_EPS
+        # overconfident side: top score in (1/k, tau_oc], a Dirichlet(50) tail
+        tops = rng.uniform(0.6 * pair.tau_oc, pair.tau_oc, index.size)
+        k = np.ceil((1.0 - tops) / tops * 1.25).astype(int) + 1
+        tail = rng.standard_gamma(50.0, (index.size, k.max() - 1))
+        tail[np.arange(k.max() - 1) >= (k - 1)[:, None]] = 0.0
+        rows = np.column_stack([tops, tail * ((1.0 - tops) / tail.sum(axis=1))[:, None]])
+        gap = tops - recover_posterior_rows(rows, gamma).max(axis=1)
+        # a row whose tail outgrew its top score has another top and is skipped
+        over = (rows.max(axis=1) != tops) | (gap > _DIRECTION_EPS)
+        failures += np.count_nonzero(~under) + np.count_nonzero(~over)
+    detail = "guaranteed regions match pointwise direction"
+    return _check("region_consistency", 2 * n, [failures], 1.0, detail)
+
+
+def _check_high_confidence_underestimates(rng, gammas, ks, n) -> VerifyCheck:
+    margins = [
+        _top_gaps(rng, ks, rng.uniform(0.5 + 1e-6, 1.0 - 1e-6, index.size), gamma)
+        for gamma, index in _by_gamma(rng, gammas, n)
+    ]
+    return _check(
+        "high_confidence_underestimates", n, margins, 0.0,
+        "max recovered > max score whenever max score in (0.5, 1)",
     )
 
 
-def _check_high_confidence_underestimates(rng, gammas, ks, n_random) -> VerifyCheck:
-    worst = -np.inf
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        k = int(rng.choice(ks))
-        top = float(rng.uniform(0.5 + 1e-6, 1.0 - 1e-6))
-        p = _simplex_with_max(rng, k, top)
-        margin = float(p.max() - recover_posterior(p, gamma).max())
-        worst = max(worst, margin)
-    return VerifyCheck(
-        "high_confidence_underestimates", n_random, worst, 0.0, worst < 0.0,
-        detail="max recovered > max score whenever max score in (0.5, 1)",
-    )
-
-
-def _check_binary_closed_form(rng, gammas, n_random) -> VerifyCheck:
-    worst = 0.0
-    monotone_ok = True
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        q = float(rng.uniform(1e-6, 1.0 - 1e-6))
+def _check_binary_closed_form(rng, gammas, n) -> VerifyCheck:
+    diffs, monotone_ok = [], True
+    for gamma, index in _by_gamma(rng, gammas, n):
+        q = rng.uniform(1e-6, 1.0 - 1e-6, index.size)
         direct = recover_binary(q, gamma)
-        via_transform = float(recover_posterior(np.array([q, 1.0 - q]), gamma)[0])
-        worst = max(worst, abs(direct - via_transform))
-        if q > 0.5 and direct <= q:
-            monotone_ok = False
-    return VerifyCheck(
-        "binary_closed_form", n_random, worst, 1e-10, monotone_ok and worst < 1e-10,
-        detail="two-class formula matches transform; underestimates above 0.5",
-    )
+        via_transform = recover_posterior_rows(np.column_stack([q, 1.0 - q]), gamma)[:, 0]
+        diffs.append(np.abs(direct - via_transform))
+        monotone_ok &= bool(np.all(direct[q > 0.5] > q[q > 0.5]))
+    detail = "two-class formula matches transform; underestimates above 0.5"
+    return _check("binary_closed_form", n, diffs, 1e-10, detail, monotone_ok)
 
 
 def _check_large_gamma_recovery() -> VerifyCheck:
-    """Recovery where ``(1 - v)^g`` underflows stays a posterior.
-
-    Rows ``[top, tail...]`` with a uniform tail must come back finite,
-    summing to 1 within 1e-12 with the argmax kept, and at k = 2 equal to
-    the two-class closed form within 1e-10.
-    """
+    """Rows ``[top, tail...]`` with a uniform tail, where ``(1 - v)^g`` underflows,
+    recover to sums within 1e-12 of 1, keep the argmax, and at k = 2 match
+    the two-class closed form within 1e-10."""
     tops = np.array([0.9, 0.9999, 1.0 - 1e-8])
-    ok = True
-    worst_sum = worst_binary = 0.0
+    argmax_ok, sums, binary = True, [], []
     for gamma in (50.0, 100.0, 300.0, 1000.0):
         for k in (2, 10, 1000):
             rows = np.repeat(((1.0 - tops) / (k - 1))[:, None], k, axis=1)
             rows[:, 0] = tops
             out = recover_posterior_rows(rows, gamma)
-            if not (np.isfinite(out).all() and (out.argmax(axis=1) == 0).all()):
-                ok = False
-                continue
-            worst_sum = max(worst_sum, float(np.abs(out.sum(axis=1) - 1.0).max()))
+            argmax_ok &= bool((out.argmax(axis=1) == 0).all())
+            # an inf or NaN entry makes its row's sum defect inf or NaN
+            sums.append(np.abs(out.sum(axis=1) - 1.0))
             if k == 2:
-                for top, got in zip(tops, out[:, 0]):
-                    worst_binary = max(worst_binary, abs(recover_binary(top, gamma) - float(got)))
-    ok = ok and worst_sum <= 1e-12 and worst_binary <= 1e-10
-    return VerifyCheck(
-        "large_gamma_recovery", 36, max(worst_sum, worst_binary), 1e-10, ok,
-        detail="gamma 50..1000, top up to 1-1e-8, k up to 1000; k=2 closed form",
+                binary.append(np.abs(recover_binary(tops, gamma) - out[:, 0]))
+    return _check(
+        "large_gamma_recovery", 36, sums + binary, 1e-10,
+        "gamma 50..1000, top up to 1-1e-8, k up to 1000; k=2 closed form",
+        argmax_ok and np.max(sums) <= 1e-12,
     )
 
 
-def _check_fixed_points(rng, ks, gammas, n_random) -> VerifyCheck:
-    worst = 0.0
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        k = int(rng.choice(ks))
-        support = max(1, int(rng.integers(1, k + 1)))
-        p = np.zeros(k)
-        p[rng.permutation(k)[:support]] = 1.0 / support
-        worst = max(worst, float(np.abs(recover_posterior(p, gamma) - p).max()))
-        if support >= 2:
-            scores = recovery_score(np.clip(p, 0.0, 1.0 - 1e-12), gamma)
-            manual = scores / scores.sum()
-            worst = max(worst, float(np.abs(manual - p).max()))
-    return VerifyCheck("fixed_points", n_random, worst, 1e-9, worst < 1e-9)
-
-
-def _check_argmax_preserved(rng, ks, gammas, n_random) -> VerifyCheck:
-    failures = 0
-    for _ in range(n_random):
-        gamma = float(rng.choice(gammas))
-        p = _random_simplex(rng, int(rng.choice(ks)))
-        if int(np.argmax(recover_posterior(p, gamma))) != int(np.argmax(p)):
-            failures += 1
-    return VerifyCheck(
-        "argmax_preserved", n_random, float(failures), 1.0, failures == 0
-    )
+def _check_fixed_points(rng, ks, gammas, n) -> VerifyCheck:
+    diffs = []
+    for gamma, index in _by_gamma(rng, gammas, n):
+        k = rng.choice(ks, index.size)
+        support = rng.integers(1, k + 1)[:, None]
+        # the support: the first `support` of the k columns ranked by random keys
+        keys = rng.random((index.size, k.max()))
+        keys[np.arange(k.max()) >= k[:, None]] = np.inf
+        p = (keys.argsort(axis=1).argsort(axis=1) < support) / support
+        diffs.append(np.abs(recover_posterior_rows(p, gamma) - p))
+        # by hand: the log score map, shifted by each row's max, normalized
+        logs = np.full_like(p, -np.inf)
+        logs[p > 0.0] = core._log_score(np.minimum(p[p > 0.0], 1.0 - 1e-12), gamma)
+        scores = np.exp(logs - logs.max(axis=1, keepdims=True))
+        diffs.append(np.abs(scores / scores.sum(axis=1, keepdims=True) - p))
+    return _check("fixed_points", n, diffs, 1e-9)
 
 
 def _check_weight_curve_shape(gammas, grid_size=100_000) -> VerifyCheck:
     grid = np.linspace(1e-9, 1.0 - 1e-9, grid_size)
-    ok = True
-    worst = 0.0
+    ok, residuals = True, []
     for gamma in gammas:
-        worst = max(
-            worst,
-            abs(core.confidence_weight(0.0, gamma) - 1.0),
-            abs(core.confidence_weight(1.0, gamma)),
-        )
+        residuals += [abs(core.confidence_weight(0.0, gamma) - 1.0)]
+        residuals += [abs(core.confidence_weight(1.0, gamma))]
         values = np.asarray(core.confidence_weight(grid, gamma))
         diffs = np.diff(values)
         # drop sub-noise differences before counting sign flips
         signs = np.sign(diffs[np.abs(diffs) > 1e-14 * np.abs(values).max()])
         flips = int(np.count_nonzero(np.diff(signs)))
         ok &= flips == 1 and signs[0] > 0 and signs[-1] < 0
-    return VerifyCheck(
-        "weight_curve_shape", grid_size * len(gammas), worst, 1e-12,
-        ok and worst < 1e-12,
-        detail="endpoints 1 and 0; derivative changes sign exactly once",
-    )
+    detail = "endpoints 1 and 0; derivative changes sign exactly once"
+    return _check("weight_curve_shape", grid_size * len(gammas), residuals, 1e-12, detail, ok)
 
 
 def _check_score_monotone(gammas, grid_size=100_000) -> VerifyCheck:
     # checked on log s_g, which stays finite where s_g overflows at large gamma
     grid = np.linspace(1e-9, 1.0 - 1e-6, grid_size)
-    ok = True
-    for gamma in gammas:
-        ok &= bool(np.all(np.diff(core._log_score(grid, gamma)) > 0.0))
-    return VerifyCheck(
-        "score_monotone", grid_size * len(gammas), 0.0 if ok else 1.0, 1.0, ok,
-        detail="strictly increasing on a dense grid",
-    )
+    ok = all(np.all(np.diff(core._log_score(grid, gamma)) > 0.0) for gamma in gammas)
+    detail = "strictly increasing on a dense grid"
+    return _check("score_monotone", grid_size * len(gammas), [float(not ok)], 1.0, detail)
 
 
 def _check_low_confidence_witness() -> VerifyCheck:
     k, gamma = 5, 0.02
     top = 1.0 / k + 1e-4
-    p = np.full(k, (1.0 - top) / (k - 1))
-    p[0] = top
-    margin = float(recover_posterior(p, gamma).max() - p.max())
-    return VerifyCheck(
-        "low_confidence_overestimates", 1, margin, 0.0, margin < 0.0,
-        detail="k=5, gamma=0.02, top score just above 1/k",
-    )
-
-
-def _check_order_preserving(rng, gammas, ks, n_random) -> VerifyCheck:
-    from .minimizer import argmax_matches, preserves_order
-
-    failures = 0
-    for gamma, etas in _posterior_groups(rng, gammas, ks, n_random):
-        # padded classes are 0 in both, which neither test can fault
-        q_star = minimize_risk_inverse(etas, gamma).q_star
-        failures += sum(
-            not (preserves_order(q, eta) and argmax_matches(q, eta))
-            for q, eta in zip(q_star, etas)
-        )
-    return VerifyCheck(
-        "order_preserving", n_random, float(failures), 1.0, failures == 0,
-        detail="minimizer keeps the posterior ordering and argmax",
-    )
-
-
-def _check_gamma_zero_identity(rng, ks, n_random) -> VerifyCheck:
-    worst = 0.0
-    for _ in range(n_random):
-        eta = _random_simplex(rng, int(rng.choice(ks)))
-        worst = max(worst, float(np.abs(recover_posterior(eta, 0.0) - eta).max()))
-        worst = max(worst, float(np.abs(minimize_risk_inverse(eta, 0.0).q_star - eta).max()))
-    return VerifyCheck(
-        "gamma_zero_identity", n_random, worst, 1e-12, worst < 1e-12,
-        detail="no transform needed for the cross-entropy minimizer",
+    p = np.array([top] + [(1.0 - top) / (k - 1)] * (k - 1))
+    return _check(
+        "low_confidence_overestimates", 1, [recover_posterior(p, gamma).max() - top], 0.0,
+        "k=5, gamma=0.02, top score just above 1/k",
     )
 
 
 def run_verify(
-    gamma_list=DEFAULT_GAMMAS,
-    k_list=DEFAULT_KS,
-    n_random: int = 200,
-    seed: int = 0,
+    gamma_list=DEFAULT_GAMMAS, k_list=DEFAULT_KS, n_random: int = 200, seed: int = 0
 ) -> VerifyReport:
     """Run every check; failures are report entries, never exceptions.
 
-    Raises ``DomainError`` when ``n_random < 1``: the random checks need
-    at least one sample each.
+    One draw of ``max(n_random, 20)`` posteriors serves five checks; the
+    oracle solves the first ``max(20, n_random // 4)`` of them.  Raises
+    ``DomainError`` when ``n_random < 1``: each random check needs a sample.
     """
     if n_random < 1:
         raise DomainError(f"n_random must be >= 1, got {n_random}")
     gammas = tuple(float(g) for g in gamma_list)
     ks = tuple(int(k) for k in k_list)
     rng = np.random.default_rng(seed)
-    checks = (
-        _check_round_trip(rng, gammas, ks, n_random),
-        _check_solver_agreement(rng, gammas, ks, max(20, n_random // 4)),
-        _check_threshold_ordering(gammas),
-        _check_region_consistency(rng, gammas, ks, max(20, n_random // 4)),
+    n_draw, n_few = max(n_random, 20), max(20, n_random // 4)
+    trip, agree, argmax, order, identity = _draw_checks(rng, gammas, ks, n_draw, n_few)
+    return VerifyReport((
+        trip, agree, _check_threshold_ordering(gammas),
+        _check_region_consistency(rng, gammas, ks, n_few),
         _check_high_confidence_underestimates(rng, gammas, ks, n_random),
-        _check_binary_closed_form(rng, gammas, n_random),
-        _check_large_gamma_recovery(),
-        _check_fixed_points(rng, ks, gammas, n_random),
-        _check_argmax_preserved(rng, ks, gammas, n_random),
-        _check_order_preserving(rng, gammas, ks, max(20, n_random // 4)),
-        _check_weight_curve_shape(gammas),
-        _check_score_monotone(gammas),
-        _check_low_confidence_witness(),
-        _check_gamma_zero_identity(rng, ks, max(20, n_random // 4)),
-    )
-    return VerifyReport(checks)
+        _check_binary_closed_form(rng, gammas, n_random), _check_large_gamma_recovery(),
+        _check_fixed_points(rng, ks, gammas, n_random), argmax, order,
+        _check_weight_curve_shape(gammas), _check_score_monotone(gammas),
+        _check_low_confidence_witness(), identity,
+    ))

@@ -210,6 +210,15 @@ class TestTsFitCommand:
         assert code == 0
         assert "objective=focal gamma=2" in capsys.readouterr().out
 
+    def test_renormalize_global_flag(self, tmp_path, capsys):
+        probs = tmp_path / "probs.csv"
+        probs.write_text("label,s1,s2\n1,0.6,0.3\n2,0.2,0.7\n1,0.5,0.4\n")
+        args = ["ts-fit", "--kind", "probabilities", "--input", str(probs)]
+        assert main(args) == 3
+        assert "sum" in capsys.readouterr().err
+        assert main(["--renormalize"] + args) == 0
+        assert "temperature=" in capsys.readouterr().out
+
 
 class TestSynthCommand:
     def test_small_run_writes_artifacts(self, tmp_path, capsys):
@@ -277,6 +286,20 @@ class TestSynthCommand:
                 for key, value in model.state().items():
                     np.testing.assert_array_equal(saved[key], value)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("epoch=1", "unknown synth config key 'epoch'"),
+            ("epochs=5O", "bad value for synth config key 'epochs'"),
+            ("gammas=2", "bad value for synth config key 'gammas'"),
+        ],
+    )
+    def test_config_errors_are_data_errors(self, tmp_path, capsys, entry, message):
+        code = main(["synth", "--set", entry, "--set", "n_train=100", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_empty_grid_is_data_error(self, tmp_path, capsys):
         code = main(["synth", "--set", "grid_n=0", "--set", "n_train=100", "--out", str(tmp_path / "run")])
         assert code == 3
@@ -308,6 +331,13 @@ class TestVerifyCommand:
         (line,) = [row for row in out.splitlines() if "solver_agreement" in row]
         assert line.startswith("PASS ")
         assert "all checks passed" in out
+
+    def test_very_large_gammas_pass(self, capsys):
+        # q^g and (1 - q)^g both underflow here; the RuntimeWarning filter
+        # turns any silent overflow or 0/0 into a failure
+        assert main(["verify", "--gamma-list", "3000", "10000"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "all checks passed" in out
 
     def test_zero_samples_is_data_error(self, capsys):
         assert main(["verify", "--n-random", "0"]) == 3

@@ -323,6 +323,27 @@ class TestRecoverBinary:
         with pytest.raises(DomainError):
             recover_binary(q, 2.0)
 
+    @pytest.mark.parametrize("gamma", [3000.0, 1e4])
+    def test_finite_where_both_powers_underflow(self, gamma):
+        # q^g and (1 - q)^g are both 0 in float64; the RuntimeWarning filter
+        # turns a silent 0/0 into a failure
+        for q in (0.3, 0.7):
+            value = recover_binary(q, gamma)
+            assert np.isfinite(value) and (value > q) == (q > 0.5)
+        assert recover_binary(0.5, gamma) == pytest.approx(0.5, abs=1e-14)
+
+    def test_array_matches_scalar_calls(self):
+        q = np.linspace(0.01, 0.99, 23)
+        for gamma in (0.0, *GAMMAS, 300.0):
+            got = recover_binary(q, gamma)
+            assert isinstance(got, np.ndarray) and got.shape == q.shape
+            np.testing.assert_array_equal(got, [recover_binary(float(v), gamma) for v in q])
+        assert isinstance(recover_binary(0.3, 2.0), float)
+
+    def test_domain_error_on_any_array_entry(self):
+        with pytest.raises(DomainError):
+            recover_binary(np.array([0.3, 1.0]), 2.0)
+
 
 def test_every_exported_name_resolves():
     import focal_calib

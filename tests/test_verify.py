@@ -5,6 +5,7 @@ import re
 import numpy as np
 
 import focal_calib.core as core
+import focal_calib.verify as verify
 from focal_calib import run_verify, thresholds
 
 
@@ -64,3 +65,32 @@ class TestRunVerify:
         assert not check["weight_curve_shape"].passed
         assert check["recovery_round_trip"].passed
         assert not report.all_passed
+
+    def test_nan_residual_fails_its_check(self, monkeypatch):
+        # a builtin max over residuals drops a NaN and reads 0; numpy keeps it
+        monkeypatch.setattr(
+            verify, "recover_posterior_rows", lambda rows, gamma: np.full(np.shape(rows), np.nan)
+        )
+        report = run_verify(n_random=20, seed=5)
+        check = {c.name: c for c in report.checks}
+        assert not check["recovery_round_trip"].passed
+        assert np.isnan(check["recovery_round_trip"].worst_residual)
+        assert not check["high_confidence_underestimates"].passed
+        assert not report.all_passed
+
+    def test_each_posterior_is_solved_once(self, monkeypatch):
+        solved_rows = []
+        inverse = verify.minimize_risk_inverse
+
+        def counting(eta, gamma, *args, **kwargs):
+            if gamma > 0.0:
+                solved_rows.append(np.atleast_2d(eta).shape[0])
+            return inverse(eta, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "minimize_risk_inverse", counting)
+        report = run_verify(n_random=60, seed=6)
+        assert report.all_passed
+        # one call per gamma group, every drawn posterior in exactly one of them
+        assert sum(solved_rows) == 60 and len(solved_rows) <= len(verify.DEFAULT_GAMMAS)
+        samples = {c.name: c.samples for c in report.checks}
+        assert samples["solver_agreement"] == 20 and samples["order_preserving"] == 60
