@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: ``transform``, ``metrics``, ``thresholds``, ``curve``,
-``ts-fit``, ``synth``, ``verify``; global flags ``--seed``,
-``--tolerance``, ``--renormalize``.  Exit codes: 0 success, 1
-verification failure, 2 usage error (argparse's default), 3 data error.
+``ts-fit``, ``synth``, ``verify``; global flags ``--seed`` and
+``--renormalize`` (numerical tolerances are library constants).  Exit
+codes: 0 success, 1 verification failure, 2 usage error (argparse's
+default), 3 data error.  Arguments are checked before any output.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .verify import DEFAULT_GAMMAS, DEFAULT_KS, run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
@@ -86,12 +86,12 @@ def _parse_config(path: str, overrides=()) -> dict:
 
 
 def _cmd_thresholds(args) -> int:
-    pair = solve_thresholds(args.gamma, args.tolerance)
+    v, w = weight_curve(args.gamma, args.grid)
+    pair = solve_thresholds(args.gamma)
     print(f"gamma={pair.gamma:g}")
     print(f"tau_oc={pair.tau_oc:.12f}")
     print(f"tau_uc={pair.tau_uc:.12f}")
     out = args.curve_out or f"weight_curve_gamma{args.gamma:g}.csv"
-    v, w = weight_curve(args.gamma, args.grid)
     write_csv(out, ["v", "weight"], zip(v, w))
     print(f"wrote {out}")
     return EXIT_OK
@@ -179,6 +179,19 @@ _RUN_DEFAULTS = {
 }
 
 
+def _convert(default, raw):
+    # raw as its key's type: a list key takes a list of floats, a scalar key
+    # its default's type.  A boolean, or a float that the conversion changes
+    # (a fraction for an integer key, or NaN), raises ValueError.
+    items = raw if isinstance(default, tuple) else [raw]
+    if not isinstance(items, (list, tuple)) or any(isinstance(v, bool) for v in items):
+        raise ValueError(raw)
+    value = tuple(map(float, items)) if isinstance(default, tuple) else type(default)(raw)
+    if isinstance(raw, float) and value != raw:
+        raise ValueError(raw)
+    return value
+
+
 def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, TrainConfig, dict]:
     dist = asdict(default_distribution())
     # each model sets its own gamma, and --seed sets the seed
@@ -188,14 +201,18 @@ def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, Tr
     if unknown:
         raise CalibrationError(f"unknown synth config key {unknown[0]!r}")
     for key, raw in cfg.items():
-        # a list key takes floats, a scalar key its default's type
-        convert = type(values[key])
         try:
-            values[key] = tuple(map(float, raw)) if convert is tuple else convert(raw)
-        except (TypeError, ValueError):
+            values[key] = _convert(values[key], raw)
+        except (TypeError, ValueError, OverflowError):
             raise CalibrationError(f"bad value for synth config key {key!r}: {raw!r}") from None
-    if values["grid_n"] < 1:
-        raise DomainError(f"grid_n must be >= 1, got {values['grid_n']}")
+    for key in ("n_train", "n_test", "grid_n", "bins"):
+        if values[key] < 1:
+            raise DomainError(f"{key} must be >= 1, got {values[key]}")
+    lo, hi = values["grid_lo"], values["grid_hi"]
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError(f"need finite grid_lo < grid_hi, got {lo} and {hi}")
+    if not all(np.isfinite(g) and g >= 0.0 for g in values["gammas"]):
+        raise DomainError(f"gammas must be finite values >= 0, got {list(values['gammas'])}")
     return (
         SyntheticDistribution(**{key: values[key] for key in dist}),
         TrainConfig(seed=seed, **{key: values[key] for key in train}),
@@ -312,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    parser.add_argument("--tolerance", type=float, default=1e-10, help="solver tolerance")
     parser.add_argument(
         "--renormalize",
         action="store_true",

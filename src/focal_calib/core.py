@@ -15,10 +15,10 @@ over their support).
 
 Each formula is written once and shared by the whole package:
 
-* ``_focal_terms`` is the elementwise focal kernel ``(1 - p)^g * log p``
-  (plain ``log p`` at ``g == 0``).  The losses, the risk solvers and the
-  training loss all sum it; each caller clamps its input and returns its
-  ``+inf`` sentinel itself.  The temperature fit
+* ``_focal_terms`` is the elementwise focal kernel ``(1 - p)^g * log p``.
+  ``_row_risks`` sums it into the risk of each row of a stack, which the
+  risk solvers report and ``focal_loss`` takes one row of; the training
+  loss clamps and sums it itself.  The temperature fit
   (``calibrate._temperature_pass``) has ``log p`` rather than ``p``, and
   writes the kernel in it next to its two derivatives.
 * ``_log_weight`` is the one weight kernel, in the log domain:
@@ -36,7 +36,7 @@ Each formula is written once and shared by the whole package:
 * ``validate_simplex_rows`` is the simplex check for an ``(n, k)`` stack.
   It names the first bad row, or its file line.  Two tolerances apply:
   ``ROW_SUM_TOL`` where prediction files and ``PredictionSet`` rows come
-  in, and ``SIMPLEX_TOL`` inside the math.
+  in, and ``SIMPLEX_TOL`` inside the math (also the fixed-point test).
 
 All functions are pure and stateless.  Scores are never renormalized
 here.
@@ -100,11 +100,11 @@ def validate_simplex_rows(rows, tol: float, lines=None) -> np.ndarray:
     return arr
 
 
-def as_simplex(p, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_simplex(p) -> np.ndarray:
     """Validate ``p`` as a probability vector and return it as float64.
 
-    Entries must lie in [0, 1] and sum to one, both within ``tol``.
-    Entries within ``tol`` of the boundary are clipped into [0, 1] so that
+    Entries must lie in [0, 1] and sum to one, both within ``SIMPLEX_TOL``.
+    Entries within that of the boundary are clipped into [0, 1] so that
     downstream logs never see a negative operand; values are otherwise
     returned unchanged (no renormalization).
     """
@@ -113,39 +113,40 @@ def as_simplex(p, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise DimensionError(
             f"expected a 1-D probability vector with >= 2 entries, got shape {arr.shape}"
         )
-    validate_simplex_rows(arr[None, :], tol)
+    validate_simplex_rows(arr[None, :], SIMPLEX_TOL)
     return arr.clip(0.0, 1.0)
 
 
 def _focal_terms(p: np.ndarray, g) -> np.ndarray:
-    # the focal kernel (1 - p)^g * log p; callers clamp p and weight the
-    # sum.  g is a float or an array that broadcasts against p; the
-    # isinstance test keeps the risk solvers' many scalar calls cheap.
-    if isinstance(g, float) and g == 0.0:
-        return np.log(p)
+    # the focal kernel (1 - p)^g * log p, exactly log p at g == 0; callers
+    # clamp p.  g is a float or an array that broadcasts against p.
     return (1.0 - p) ** g * np.log(p)
 
 
-def focal_loss(u, v, gamma: float, safe: bool = False) -> float:
+def _row_risks(q: np.ndarray, eta: np.ndarray, g: float) -> np.ndarray:
+    # the focal risk -sum_i eta_i (1 - q_i)^g log q_i of each row of a
+    # stack; +inf where some q_i is 0 with eta_i > 0
+    active = eta > 0.0
+    with np.errstate(divide="ignore"):
+        terms = _focal_terms(np.where(active, q, 1.0), g)
+    return -np.where(active, eta * terms, 0.0).sum(axis=1)
+
+
+def focal_loss(u, v, gamma: float) -> float:
     """Focal loss between prediction ``u`` and target ``v``.
 
         -sum_i v_i * (1 - u_i)^gamma * log(u_i)
 
     Returns ``+inf`` when some ``u_i`` is exactly 0 where ``v_i > 0``
-    (a sentinel, not an error).  With ``safe=True`` predictions are
-    clamped to ``[CLAMP_EPS, 1]`` before the log instead.
+    (a sentinel, not an error).  This is one row of the risk that
+    ``minimize_risk_inverse`` and ``minimize_risk_pg`` report.
     """
     g = require_gamma(gamma)
     uu = as_simplex(u)
     vv = as_simplex(v)
     if uu.size != vv.size:
         raise DimensionError(f"class counts differ: {uu.size} vs {vv.size}")
-    if safe:
-        uu = np.clip(uu, CLAMP_EPS, 1.0)
-    active = vv > 0.0
-    if np.any(uu[active] == 0.0):
-        return float("inf")
-    return float(-(vv[active] * _focal_terms(uu[active], g)).sum())
+    return float(_row_risks(uu[None, :], vv[None, :], g)[0])
 
 
 def _log_weight(v, g: float):
@@ -213,22 +214,20 @@ def recovery_score(v, gamma: float):
     return float(out[0]) if scalar else out
 
 
-def _fixed_rows(arr: np.ndarray, tol: float) -> np.ndarray:
-    # rows whose entries are all within tol of 0 or of the row maximum
+def _fixed_rows(arr: np.ndarray) -> np.ndarray:
+    # rows whose entries are all within SIMPLEX_TOL of 0 or of the row maximum
     mx = arr.max(axis=1, keepdims=True)
-    return np.all((arr <= tol) | (np.abs(arr - mx) <= tol), axis=1)
+    return np.all((arr <= SIMPLEX_TOL) | (np.abs(arr - mx) <= SIMPLEX_TOL), axis=1)
 
 
-def is_uniform_on_support(p, tol: float) -> bool:
-    """True when every entry is within ``tol`` of 0 or of ``max(p)``.
+def is_uniform_on_support(p) -> bool:
+    """True when every entry is within ``SIMPLEX_TOL`` of 0 or of ``max(p)``.
 
     Such vectors are uniform over their support (one-hot and uniform
     vectors included) and are exactly the fixed points of
-    ``recover_posterior``.
+    ``recover_posterior``, which detects them at the same tolerance.
     """
-    if tol < 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
-    return bool(_fixed_rows(as_simplex(p)[None, :], tol)[0])
+    return bool(_fixed_rows(as_simplex(p)[None, :])[0])
 
 
 def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
@@ -242,7 +241,7 @@ def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
     step = max(1, _BLOCK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
-        general = ~_fixed_rows(block, SIMPLEX_TOL)
+        general = ~_fixed_rows(block)
         if not general.any():
             continue
         sub = block[general]

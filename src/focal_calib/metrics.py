@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLAMP_EPS, ROW_SUM_TOL, as_simplex, validate_simplex_rows
+from .core import CLAMP_EPS, ROW_SUM_TOL, SIMPLEX_TOL, validate_simplex_rows
 from .errors import DimensionError, DomainError, EmptyDataError, InvalidSimplexError
 
 # score entries binned at once by ``cw_ece``
@@ -31,7 +31,8 @@ class PredictionSet:
     """Per-sample score rows plus 1-based integer labels.
 
     ``scores`` is ``(n, k)``; rows flagged as probabilities must each be a
-    valid probability vector within ``ROW_SUM_TOL``.
+    valid probability vector within ``ROW_SUM_TOL``.  A label may be an
+    integral float such as ``2.0``, but not a fraction or a boolean.
     """
 
     scores: np.ndarray
@@ -40,7 +41,12 @@ class PredictionSet:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        raw = np.asarray(self.labels)
+        whole = raw.dtype.kind != "f" or np.all(np.isfinite(raw) & (raw == np.round(raw)))
+        listed = self.labels if isinstance(self.labels, (list, tuple)) else ()
+        if raw.dtype == bool or not whole or any(isinstance(v, bool) for v in listed):
+            raise DomainError("labels must be integers, not fractions or booleans")
+        self.labels = np.asarray(raw, dtype=int)
         if self.scores.ndim != 2 or self.scores.shape[1] < 2:
             raise DimensionError(
                 f"scores must be (n, k) with k >= 2, got shape {self.scores.shape}"
@@ -189,19 +195,18 @@ def kld(p, q) -> float:
     ``q_i == 0`` yields ``+inf``.  This is the one-row case of
     :func:`kld_rows`.
     """
-    pp = as_simplex(p)
-    qq = as_simplex(q)
-    if pp.size != qq.size:
-        raise DimensionError(f"class counts differ: {pp.size} vs {qq.size}")
-    return float(kld_rows(pp[None], qq[None])[0])
+    return float(kld_rows([p], [q])[0])
 
 
 def kld_rows(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """Row-wise KL divergence for ``(n, k)`` stacks of probability rows."""
+    """Row-wise KL divergence for ``(n, k)`` stacks of probability rows,
+    both checked at ``SIMPLEX_TOL`` and clipped into [0, 1]."""
     P = np.asarray(p_rows, dtype=float)
     Q = np.asarray(q_rows, dtype=float)
     if P.shape != Q.shape:
         raise DimensionError(f"shapes differ: {P.shape} vs {Q.shape}")
+    P = validate_simplex_rows(P, SIMPLEX_TOL).clip(0.0, 1.0)
+    Q = validate_simplex_rows(Q, SIMPLEX_TOL).clip(0.0, 1.0)
     active = P > 0.0
     out = np.zeros(P.shape[0])
     with np.errstate(divide="ignore"):

@@ -35,16 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (
-    SIMPLEX_TOL,
-    as_simplex,
-    require_gamma,
-    validate_simplex_rows,
-)
+from .core import SIMPLEX_TOL, require_gamma, validate_simplex_rows
 from .errors import ConvergenceError, DomainError
 
 _NEWTON_ITERS = 100        # cap on Newton steps per inverse solve
-_SUM_TOL = 1e-12
+_SUM_TOL = 1e-12           # |sum(q) - 1| a Newton row must reach
 _CAP_SUM_TOL = 1e-9        # sum defect still accepted at the step cap
 _STEP_TOL = 1e-14          # largest q_i move of the Newton step left undone
 _Q_MIN = np.nextafter(0.0, 1.0)
@@ -55,6 +50,9 @@ _GRAD_EPS = 1e-12          # floor on 1 - q_i in the oracle's risk terms
 # shrink its distance by a fraction of a percent per iteration
 _ARMIJO = 0.3
 _MOVE_TOL = 1e-15          # largest q_i move of a row that has stopped moving
+_PG_TOL = 1e-9             # relative gradient spread that stops an oracle row
+_PG_ITERS = 100_000        # cap on oracle iterations
+_PG_PATIENCE = 1_000       # iterations a row may go without a smaller spread
 _LOG_HEAD_CAP = 600.0      # cap on a candidate's scaled log risk terms
 
 
@@ -62,10 +60,11 @@ _LOG_HEAD_CAP = 600.0      # cap on a candidate's scaled log risk terms
 class RiskMinimizerResult:
     """Solution of one pointwise risk minimization, or of a stack of them.
 
-    For a single posterior ``q_star`` is a vector and ``risk`` a float;
-    for an ``(n, k)`` stack they are an ``(n, k)`` array and an ``(n,)``
-    array.  ``iterations`` (an ``int``) and ``residual`` (a ``float``) are
-    the solver's own measures, the largest over the rows: Newton steps and
+    For a single posterior ``q_star`` is a vector and ``risk``, its
+    :func:`focal_calib.core.focal_loss` against the posterior, a float; for
+    an ``(n, k)`` stack they are an ``(n, k)`` array and an ``(n,)`` array.
+    ``iterations`` (an ``int``) and ``residual`` (a ``float``) are the
+    solver's own measures, the largest over the rows: Newton steps and
     the simplex-sum defect for the inverse solver, iterations and the
     relative spread of the risk gradient on the support for the oracle.
     """
@@ -76,7 +75,7 @@ class RiskMinimizerResult:
     residual: float
 
 
-def _newton_rows(eta: np.ndarray, g: float, tol: float) -> tuple[np.ndarray, int, float]:
+def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
     """Solve ``log s_g(q_i) = log c + log eta_i``, ``sum(q) = 1`` per row.
 
     Rows need ``g > 0`` and at least two positive entries; entries with
@@ -95,7 +94,7 @@ def _newton_rows(eta: np.ndarray, g: float, tol: float) -> tuple[np.ndarray, int
     ``log s_g(1/m) - log max(eta)`` and ``log s_g(1/m) - log min(eta)``; a
     step that would leave the bracket goes halfway to its edge instead.
     Without that guard the steps can cycle on peaked posteriors at large
-    ``g``.  A row stops once ``|sum(q) - 1| <= tol`` and the next Newton
+    ``g``.  A row stops once ``|sum(q) - 1| <= _SUM_TOL`` and the next Newton
     step would move no ``q_i`` by more than ``_STEP_TOL``, well above the
     rounding noise of that step (about ``eps``) and well below what the
     round trip through the transform can see.
@@ -118,7 +117,7 @@ def _newton_rows(eta: np.ndarray, g: float, tol: float) -> tuple[np.ndarray, int
 
     q_star = np.zeros_like(eta)
     rows = np.arange(eta.shape[0])
-    steps, residual = 0, 0.0
+    steps, residual, tol = 0, 0.0, _SUM_TOL
     while True:
         sup, xs, ts = support[rows], x[rows], t[rows]
         # q = 1 / (1 + exp(-x)), with no overflow at either end
@@ -131,8 +130,8 @@ def _newton_rows(eta: np.ndarray, g: float, tol: float) -> tuple[np.ndarray, int
         defect = np.where(sup, q, 0.0).sum(axis=1) - 1.0
         stationary = (w * np.abs(r)).max(axis=1) <= _STEP_TOL
         if steps == _NEWTON_ITERS:
-            # a tol below the rounding of the sum cannot be met; such a row
-            # is kept once its defect is within _CAP_SUM_TOL
+            # a defect below the rounding of the sum cannot be reached; such
+            # a row is kept once its defect is within _CAP_SUM_TOL
             tol = max(tol, _CAP_SUM_TOL)
         done = (np.abs(defect) <= tol) & stationary
         if done.any():
@@ -155,29 +154,20 @@ def _newton_rows(eta: np.ndarray, g: float, tol: float) -> tuple[np.ndarray, int
         t[rows] = t_new
 
 
-def _row_risks(q: np.ndarray, eta: np.ndarray, g: float) -> np.ndarray:
-    # focal_loss(q_row, eta_row) for each row; q is positive wherever eta is
-    active = eta > 0.0
-    terms = core._focal_terms(np.where(active, q, 1.0), g)
-    return -np.where(active, eta * terms, 0.0).sum(axis=1)
-
-
 def _posterior_rows(eta) -> tuple[np.ndarray, bool]:
     # eta as a checked (n, k) stack clipped into [0, 1], and whether it was one vector
     arr = np.asarray(eta, dtype=float)
-    if arr.ndim == 1:
-        return as_simplex(arr)[None, :], True
-    return validate_simplex_rows(arr, SIMPLEX_TOL).clip(0.0, 1.0), False
+    return validate_simplex_rows(np.atleast_2d(arr), SIMPLEX_TOL).clip(0.0, 1.0), arr.ndim == 1
 
 
 def _result(q, eta, g, single, iterations, residual) -> RiskMinimizerResult:
-    risk = _row_risks(q, eta, g)
+    risk = core._row_risks(q, eta, g)
     if single:
         return RiskMinimizerResult(q[0], float(risk[0]), iterations, residual)
     return RiskMinimizerResult(q, risk, iterations, residual)
 
 
-def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinimizerResult:
+def minimize_risk_inverse(eta, gamma: float) -> RiskMinimizerResult:
     """Minimize the pointwise risk by solving the stationarity condition.
 
     ``eta`` is one posterior or an ``(n, k)`` stack of them, each solved
@@ -185,15 +175,12 @@ def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinim
     ``eta_i == 0`` receive ``q_i == 0`` exactly, a one-class support gets
     its one-hot vector and ``gamma == 0`` returns ``eta``.  Otherwise a
     safeguarded Newton iteration on the log-domain score map drives
-    ``|sum(q) - 1|`` below ``tol`` for every row, and the returned
-    ``residual`` is the largest such defect.  A row still short of a
-    ``tol`` below float resolution after a fixed number of steps is kept
-    if its defect is at most 1e-9; otherwise ``ConvergenceError`` is
-    raised.
+    ``|sum(q) - 1|`` to at most 1e-12 for every row, and the returned
+    ``residual`` is the largest such defect.  A row still short of that
+    after a fixed number of steps is kept if its defect is at most 1e-9;
+    otherwise ``ConvergenceError`` is raised.
     """
     g = require_gamma(gamma)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     ee, single = _posterior_rows(eta)
     q = ee.copy()
     iterations, residual = 0, 0.0
@@ -203,7 +190,7 @@ def minimize_risk_inverse(eta, gamma: float, tol: float = _SUM_TOL) -> RiskMinim
         q[one_class] = support[one_class]
         general = ~one_class
         if general.any():
-            q[general], iterations, residual = _newton_rows(ee[general], g, tol)
+            q[general], iterations, residual = _newton_rows(ee[general], g)
     return _result(q, ee, g, single, iterations, residual)
 
 
@@ -253,9 +240,7 @@ def _mirror_step(log_q, grad, step, support):
     return np.where(support, np.exp(log_c), 0.0), log_c
 
 
-def _mirror_rows(
-    eta: np.ndarray, g: float, tol: float, max_iters: int
-) -> tuple[np.ndarray, int, float]:
+def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
     """Entropic mirror descent for rows with at least two positive entries.
 
     Each iterate is ``q <- q * exp(-s * grad W)`` normalized, the KL
@@ -265,9 +250,11 @@ def _mirror_rows(
     support with step ``s = 1 / max|grad W|``, doubles its step at every
     iteration and halves it until the Armijo condition holds.  A row stops
     once the relative spread of ``grad W`` on its support is at most
-    ``tol``, or once its accepted step moves no ``q_i`` by more than
-    ``_MOVE_TOL`` (the line search is at float resolution, which on this
-    convex objective is numerical optimality).  Stopped rows are frozen.
+    ``_PG_TOL``, or once the line search is at float resolution, which on
+    this convex objective is numerical optimality: its accepted step moves
+    no ``q_i`` by more than ``_MOVE_TOL``, or its spread has not fallen for
+    ``_PG_PATIENCE`` iterations (the step then swings between two points
+    that the Armijo test cannot tell apart).  Stopped rows are frozen.
     """
     support = eta > 0.0
     log_eta = np.full_like(eta, -np.inf)
@@ -278,22 +265,23 @@ def _mirror_rows(
     spread = _spread(grad, support)
     step = 1.0 / np.abs(grad).max(axis=1)
     stalled = np.zeros(eta.shape[0], dtype=bool)
+    best, since = spread.copy(), np.zeros(eta.shape[0], dtype=int)
 
     q_star = np.zeros_like(eta)
     rows = np.arange(eta.shape[0])
     iterations, residual = 0, 0.0
     while True:
-        done = (spread <= tol) | stalled
+        done = (spread <= _PG_TOL) | stalled | (since == _PG_PATIENCE)
         if done.any():
             q_star[rows[done]] = q[done]
             residual = max(residual, float(spread[done].max()))
             keep = ~done
             rows, log_eta, support = rows[keep], log_eta[keep], support[keep]
             q, log_q, shift, f, grad = q[keep], log_q[keep], shift[keep], f[keep], grad[keep]
-            spread, step = spread[keep], step[keep]
+            spread, step, best, since = spread[keep], step[keep], best[keep], since[keep]
         if rows.size == 0:
             return q_star, iterations, residual
-        if iterations == max_iters:
+        if iterations == _PG_ITERS:
             raise ConvergenceError("mirror descent hit the iteration cap", float(spread.max()))
         iterations += 1
         step *= 2.0
@@ -317,34 +305,26 @@ def _mirror_rows(
         shift, f, grad = _scaled_state(q, log_q, log_eta, g)
         step *= np.exp(shift - old_shift)
         spread = _spread(grad, support)
+        since = np.where(spread < best, 0, since + 1)
+        best = np.minimum(best, spread)
 
 
-def minimize_risk_pg(
-    eta,
-    gamma: float,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
-) -> RiskMinimizerResult:
+def minimize_risk_pg(eta, gamma: float) -> RiskMinimizerResult:
     """Minimize the pointwise risk by entropic mirror descent.
 
-    The first-order oracle, independent of the score-map inversion: it
-    evaluates only the risk and its gradient.  Each step multiplies ``q``
-    by ``exp(-s * grad W)`` and normalizes, which is the KL projection onto
-    the simplex, so the method is a projected gradient in the entropy's
-    geometry (exponentiated gradient), with a per-row Armijo line search.
-    ``eta`` is one posterior or an ``(n, k)`` stack, each row solved
-    independently and bit-identical to solving it alone at the same k (a
-    vector is the one-row case).  Classes with ``eta_i == 0`` get ``q_i == 0`` exactly
-    and a one-class support gets its one-hot vector.  A row stops when the
-    relative spread of the gradient on its support is at most ``tol`` or
-    when its iterate stops moving in float64; ``residual`` is the largest
-    spread reached and ``iterations`` the largest iteration count.
+    The first-order oracle of the module docstring, with a per-row Armijo
+    line search.  ``eta`` is one posterior or an ``(n, k)`` stack, each row
+    solved independently and bit-identical to solving it alone at the same
+    k.  Classes with ``eta_i == 0`` get ``q_i == 0`` exactly and a
+    one-class support gets its one-hot vector.  A row stops when the
+    relative spread of the gradient on its support is at most 1e-9, when
+    its iterate stops moving in float64, or after 1,000 iterations without
+    a smaller spread; ``residual`` is the largest spread reached and
+    ``iterations`` the largest iteration count.
     Raises ``ConvergenceError`` carrying the residual when a row is still
-    running after ``max_iters`` iterations.
+    running after 100,000 iterations.
     """
     g = require_gamma(gamma)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     ee, single = _posterior_rows(eta)
     support = ee > 0.0
     m = support.sum(axis=1, keepdims=True)
@@ -352,7 +332,7 @@ def minimize_risk_pg(
     iterations, residual = 0, 0.0
     general = m[:, 0] > 1
     if general.any():
-        q[general], iterations, residual = _mirror_rows(ee[general], g, tol, max_iters)
+        q[general], iterations, residual = _mirror_rows(ee[general], g)
     return _result(q, ee, g, single, iterations, residual)
 
 

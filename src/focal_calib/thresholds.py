@@ -62,15 +62,6 @@ class ThresholdPair:
     tol: float
 
 
-def _require_positive_gamma(gamma: float) -> float:
-    g = require_gamma(gamma)
-    if g == 0.0:
-        raise DegenerateError(
-            "thresholds do not exist at gamma == 0 (the weight curve is constant)"
-        )
-    return g
-
-
 def _bisect(positive, lo: float, hi: float, tol: float) -> float:
     # the point in [lo, hi] where positive(v) turns False, given that it
     # holds just above lo and fails at hi.  Stops once the bracket is
@@ -94,11 +85,15 @@ def thresholds(gamma: float, tol: float = DEFAULT_TOL) -> ThresholdPair:
     adjacent floats.  ``tau_oc`` needs a sign change of the slope of the
     weight curve on (0, 0.5); ``tau_uc`` one of ``weight - 1`` on
     [tau_oc, 0.5], where the weight exceeds 1 at the maximizer and is
-    below 1 at 0.5.
+    below 1 at 0.5.  ``tol`` must be finite and > 0.
     """
-    g = _require_positive_gamma(gamma)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    g = require_gamma(gamma)
+    if g == 0.0:
+        raise DegenerateError(
+            "thresholds do not exist at gamma == 0 (the weight curve is constant)"
+        )
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
     def slope_positive(v: float) -> bool:
         log_v = math.log(v)
@@ -120,7 +115,7 @@ def underconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
     return thresholds(gamma, tol).tau_uc
 
 
-def confidence_region(max_score: float, gamma: float, tol: float = DEFAULT_TOL) -> Region:
+def confidence_region(max_score: float, gamma: float) -> Region:
     """Classify a top score against the thresholds.
 
     Boundary convention: exactly ``tau_oc`` is OVERCONFIDENT and exactly
@@ -130,7 +125,7 @@ def confidence_region(max_score: float, gamma: float, tol: float = DEFAULT_TOL) 
     q = float(max_score)
     if not 0.0 < q < 1.0:
         raise DomainError(f"top score must lie strictly inside (0, 1), got {max_score!r}")
-    pair = thresholds(gamma, tol)
+    pair = thresholds(gamma)
     if q <= pair.tau_oc:
         return Region.OVERCONFIDENT
     if q >= pair.tau_uc:

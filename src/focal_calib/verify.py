@@ -85,7 +85,7 @@ def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarra
             rest = rng.dirichlet(np.ones(k - 1)) * (1.0 - top)
             if rest.max() < top:
                 p = np.concatenate([[top], rest])
-                if not is_uniform_on_support(p, 1e-9):
+                if not is_uniform_on_support(p):
                     return p
         k *= 2
 
@@ -157,7 +157,7 @@ def _draw_checks(rng, gammas, ks, n: int, n_oracle: int) -> tuple[VerifyCheck, .
 def _check_threshold_ordering(gammas) -> VerifyCheck:
     residuals, ordered = [], True
     for gamma in gammas:
-        pair = thresholds(gamma, 1e-10)
+        pair = thresholds(gamma)
         ordered &= 0.0 < pair.tau_oc < pair.tau_uc < 0.5
         # the curve's maximum rises above 1 (by 0.017 at gamma = 0.1); a flat
         # curve would still leave 0 < tau_oc < tau_uc < 0.5 from the solvers

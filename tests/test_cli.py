@@ -55,6 +55,17 @@ class TestThresholdsCommand:
         assert main(["thresholds", "--gamma", "2", "--grid", "0", "--curve-out", str(out)]) == 3
         assert "grid_size" in capsys.readouterr().err
 
+    def test_empty_grid_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["thresholds", "--gamma", "2", "--grid", "0", "--curve-out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_tolerance_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--tolerance", "1e-10", "thresholds", "--gamma", "2"])
+        assert info.value.code == 2
+
 
 class TestCurveCommand:
     def test_stdout_csv(self, capsys):
@@ -305,6 +316,32 @@ class TestSynthCommand:
         assert code == 3
         assert "grid_n" in capsys.readouterr().err
         assert not (tmp_path / "run" / "summary.csv").exists()
+
+    # a small run, so that a value the check misses fails fast
+    SMALL = ["n_train=50", "n_test=50", "epochs=1", "hidden=4", "grid_n=5", "gammas=[1.0]"]
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("epochs=2.7", "epochs"),
+            ("epochs=Infinity", "epochs"),
+            ("hidden=true", "hidden"),
+            ("learning_rate=true", "learning_rate"),
+            ("gammas=[1.0, true]", "gammas"),
+            ("n_train=0", "n_train"),
+            ("n_test=0", "n_test"),
+            ("bins=0", "bins"),
+            ("grid_hi=-6", "grid_hi"),
+            ("gammas=[-1]", "gammas"),
+            ("gammas=[NaN]", "gammas"),
+        ],
+    )
+    def test_bad_value_fails_before_any_output(self, tmp_path, capsys, entry, key):
+        sets = [arg for item in self.SMALL + [entry] for arg in ("--set", item)]
+        out_dir = tmp_path / "run"
+        assert main(["synth", *sets, "--out", str(out_dir)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_writes_no_models(self, tmp_path, capsys):

@@ -104,9 +104,6 @@ class TestFocalLoss:
     def test_zero_prediction_on_active_class_is_inf(self):
         assert focal_loss([0.0, 1.0], [1, 0], 2.0) == math.inf
 
-    def test_safe_mode_is_finite(self):
-        assert math.isfinite(focal_loss([0.0, 1.0], [1, 0], 2.0, safe=True))
-
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             focal_loss([0.5, 0.5], [1, 0], -1.0)
@@ -180,20 +177,29 @@ class TestRecoveryScore:
 
 class TestUniformOnSupport:
     def test_one_hot(self):
-        assert is_uniform_on_support(np.eye(4)[1], 1e-9)
+        assert is_uniform_on_support(np.eye(4)[1])
 
     def test_uniform(self):
-        assert is_uniform_on_support(np.full(5, 0.2), 1e-9)
+        assert is_uniform_on_support(np.full(5, 0.2))
 
     def test_partial_support(self):
-        assert is_uniform_on_support([0.5, 0.0, 0.5], 1e-9)
+        assert is_uniform_on_support([0.5, 0.0, 0.5])
 
     def test_generic_vector_is_not(self):
-        assert not is_uniform_on_support([0.7, 0.2, 0.1], 1e-9)
+        assert not is_uniform_on_support([0.7, 0.2, 0.1])
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(DomainError):
-            is_uniform_on_support([0.5, 0.5], -1.0)
+
+
+    @pytest.mark.parametrize("base", [[0.5, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]])
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-9, 2e-9])
+    def test_agrees_with_transform_fixed_points(self, base, gap):
+        # the top two entries sit gap apart; SIMPLEX_TOL = 1e-9 separates them
+        p = np.array(base)
+        p[0] += gap / 2
+        p[1] -= gap / 2
+        fixed = gap < 1e-9
+        assert is_uniform_on_support(p) is fixed
+        assert np.array_equal(recover_posterior(p, 2.0), p) is fixed
 
 
 class TestRecoverPosterior:

@@ -8,6 +8,7 @@ import pytest
 from focal_calib import (
     DomainError,
     EmptyDataError,
+    InvalidSimplexError,
     PredictionSet,
     ScoreKind,
     apply_psi_dataset,
@@ -19,6 +20,7 @@ from focal_calib import (
     kld_rows,
     nll,
 )
+from focal_calib.core import validate_simplex_rows
 from focal_calib.metrics import bin_index
 
 
@@ -210,6 +212,52 @@ class TestKld:
         batch = kld_rows(P, Q)
         singles = [kld(p, q) for p, q in zip(P, Q)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+    def test_rows_are_checked(self):
+        good = np.array([[0.5, 0.5]])
+        for bad in ([[1.2, -0.2]], [[0.5, 0.6]], [[math.nan, 0.5]]):
+            with pytest.raises(InvalidSimplexError):
+                kld_rows(np.array(bad), good)
+            with pytest.raises(InvalidSimplexError):
+                kld_rows(good, np.array(bad))
+
+    def test_rows_within_tolerance_are_clipped(self):
+        # -5e-10 is within SIMPLEX_TOL of 0; the log sees 0, not a negative
+        out = kld_rows(np.array([[0.5, 0.5]]), np.array([[1.0 + 5e-10, -5e-10]]))
+        assert out[0] == math.inf
+
+    def test_each_vector_is_checked_once(self, monkeypatch):
+        from focal_calib import core, metrics
+
+        calls = []
+
+        def counting(rows, tol, lines=None):
+            calls.append(tol)
+            return validate_simplex_rows(rows, tol, lines)
+
+        monkeypatch.setattr(core, "validate_simplex_rows", counting)
+        monkeypatch.setattr(metrics, "validate_simplex_rows", counting)
+        kld([0.3, 0.7], [0.4, 0.6])
+        assert len(calls) == 2
+
+
+class TestPredictionSetLabels:
+    SCORES = np.array([[0.6, 0.4], [0.3, 0.7]])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.5, 2.0], np.array([1.0, math.nan]), [True, True], np.array([True, True]), [True, 2]],
+        ids=["fraction", "nan", "bool_list", "bool_array", "mixed_bool"],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(DomainError):
+            PredictionSet(self.SCORES, labels)
+
+    def test_integral_float_labels_accepted(self):
+        preds = PredictionSet(self.SCORES, [1.0, 2.0])
+        assert preds.labels.dtype.kind == "i"
+        np.testing.assert_array_equal(preds.labels, [1, 2])
 
 
 class TestErrorRate:

@@ -177,13 +177,25 @@ class TestBatchedInverseSolver:
         assert np.abs(level_top - level_tail).max() < 1e-6
         assert np.all(np.diff(top) > 0.0)
 
-    def test_tol_below_float_resolution_is_kept_at_the_cap(self):
+    def test_tol_below_float_resolution_is_kept_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(minimizer, "_SUM_TOL", 1e-17)
         rng = np.random.default_rng(13)
         etas = rng.dirichlet(np.ones(7), size=50)
-        result = minimize_risk_inverse(etas, 2.0, tol=1e-17)
+        result = minimize_risk_inverse(etas, 2.0)
         assert result.residual <= 1e-9
         back = np.vstack([recover_posterior(row, 2.0) for row in result.q_star])
         assert np.abs(back - etas).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 100.0])
+    def test_reported_risk_is_focal_loss(self, gamma):
+        etas = np.random.default_rng(21).dirichlet(np.ones(6), size=20)
+        etas[::3, 2:4] = 0.0
+        etas /= etas.sum(axis=1, keepdims=True)
+        result = minimize_risk_inverse(etas, gamma)
+        for q, eta, risk in zip(result.q_star, etas, result.risk):
+            assert focal_loss(q, eta, gamma) == risk
+        one = minimize_risk_inverse(etas[0], gamma)
+        assert focal_loss(one.q_star, etas[0], gamma) == one.risk
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(minimizer, "_NEWTON_ITERS", 1)
@@ -214,11 +226,23 @@ class TestProjectedGradientOracle:
             qp = minimize_risk_pg(eta, gamma).q_star
             assert np.abs(qi - qp).max() < 1e-5
 
-    def test_iteration_cap_raises_with_residual(self):
+    def test_iteration_cap_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(minimizer, "_PG_TOL", 1e-13)
+        monkeypatch.setattr(minimizer, "_PG_ITERS", 3)
         eta = np.array([0.55, 0.25, 0.2])
         with pytest.raises(ConvergenceError) as info:
-            minimize_risk_pg(eta, 2.0, tol=1e-13, max_iters=3)
+            minimize_risk_pg(eta, 2.0)
         assert info.value.residual > 0.0
+
+    def test_two_cycle_row_stops_without_progress(self):
+        # the risk change of the 1e-6 entry is below the rounding of the
+        # risk, so the Armijo test passes blindly and the step swings
+        # between two points; the row stops after _PG_PATIENCE iterations
+        eta = np.array([0.25, 0.25, 1e-6, 0.25])
+        eta /= eta.sum()
+        result = minimize_risk_pg(eta, 0.0)
+        assert result.iterations < 2 * minimizer._PG_PATIENCE
+        assert np.abs(result.q_star - eta).max() < 1e-9
 
     def test_large_gamma_agrees_with_inverse_solver(self):
         etas = np.random.default_rng(0).dirichlet(np.ones(10), size=50)

@@ -79,6 +79,11 @@ class TestThresholdSolvers:
         assert abs(confidence_weight(pair.tau_uc, gamma) - 1.0) <= 1e-9
         assert slope(pair.tau_oc * (1.0 - 1e-6)) > 0.0 > slope(pair.tau_oc * (1.0 + 1e-6))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError):
+            thresholds(2.0, tol)
+
     def test_tiny_tol_terminates(self):
         # below the float spacing the bisection stops at adjacent floats
         pair = thresholds(2.0, 1e-300)
