@@ -167,6 +167,8 @@ def _parse_scores(raw_values, line: int, k: int) -> list[float]:
             out.append(float(value))
         except (TypeError, ValueError):
             raise ParseError(f"score {value!r} is not a number", line) from None
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError("non-finite score", line) from None
     if not all(np.isfinite(out)):
         raise ParseError("non-finite score", line)
     return out

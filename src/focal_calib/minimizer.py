@@ -17,10 +17,12 @@ provided:
   for a whole ``(n, k)`` stack of posteriors at once.
 * :func:`minimize_risk_pg` is the first-order oracle: entropic mirror
   descent (exponentiated gradient, ``q <- q * exp(-s * grad W)``
-  normalized) with a per-row Armijo line search, batched over the same
-  stacks.  It evaluates only the risk and its gradient and touches none
-  of the score-map machinery.  The normalization is the KL projection
-  onto the simplex, so the method is projected gradient in the entropy's
+  normalized) with a per-row step search, batched over the same stacks.
+  It evaluates only the risk's gradient, never the risk, and touches
+  none of the score-map machinery: a step is kept when the candidate's
+  centred gradient points against the move, which by convexity means
+  the risk did not rise.  The normalization is the KL projection onto
+  the simplex, so the method is projected gradient in the entropy's
   geometry; no Euclidean projection is used.
 
 Agreement between the two is the main numerical cross-check of the
@@ -44,16 +46,10 @@ _CAP_SUM_TOL = 1e-9        # sum defect still accepted at the step cap
 _STEP_TOL = 1e-14          # largest q_i move of the Newton step left undone
 _Q_MIN = np.nextafter(0.0, 1.0)
 _Q_MAX = np.nextafter(1.0, 0.0)
-_GRAD_EPS = 1e-12          # floor on 1 - q_i in the oracle's risk terms
-# sufficient-decrease fraction of the line search; near 0 it lets the step
-# settle just under 2/L, where the iterates swing across the minimum and
-# shrink its distance by a fraction of a percent per iteration
-_ARMIJO = 0.3
+_GRAD_EPS = 1e-12          # floor on 1 - q_i in the oracle's gradient
 _MOVE_TOL = 1e-15          # largest q_i move of a row that has stopped moving
 _PG_TOL = 1e-9             # relative gradient spread that stops an oracle row
 _PG_ITERS = 100_000        # cap on oracle iterations
-_PG_PATIENCE = 1_000       # iterations a row may go without a smaller spread
-_LOG_HEAD_CAP = 600.0      # cap on a candidate's scaled log risk terms
 
 
 @dataclass(frozen=True)
@@ -194,35 +190,20 @@ def minimize_risk_inverse(eta, gamma: float) -> RiskMinimizerResult:
     return _result(q, ee, g, single, iterations, residual)
 
 
-def _log_heads(q: np.ndarray, log_eta: np.ndarray, g: float):
-    # log(eta_i (1 - q_i)^g), -inf off the support where log_eta is, and
-    # 1 - q_i floored at _GRAD_EPS
-    om = (1.0 - q).clip(_GRAD_EPS, 1.0)
-    return log_eta + g * np.log(om), om
+def _scaled_gradient(q: np.ndarray, log_q: np.ndarray, log_eta: np.ndarray, g: float):
+    """Risk gradient at an iterate, divided per row by its largest head.
 
-
-def _risk_value(log_head: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    # -sum_i head_i log q_i per row.  Capping the exponent keeps a wild
-    # candidate's risk finite; it is then far above the current risk, whose
-    # heads are at most 1, so the line search still rejects it.
-    return -(np.exp(np.minimum(log_head, _LOG_HEAD_CAP)) * log_q).sum(axis=1)
-
-
-def _scaled_state(q: np.ndarray, log_q: np.ndarray, log_eta: np.ndarray, g: float):
-    """Risk and gradient at an iterate, divided per row by its largest head.
-
-    With ``head_i = eta_i (1 - q_i)^g`` the risk is ``-sum_i head_i log q_i``
-    and its gradient ``head_i (g log q_i / (1 - q_i) - 1 / q_i)``.  Both are
-    divided by ``exp(shift)``, ``shift = max_i log head_i``, so at large g,
-    where every head underflows, they stay finite and nonzero.  Returns
-    ``(shift, risk, gradient)``.
+    With ``head_i = eta_i (1 - q_i)^g`` (``1 - q_i`` floored at
+    ``_GRAD_EPS``) the gradient of the risk is
+    ``head_i (g log q_i / (1 - q_i) - 1 / q_i)``.  Dividing a row by its
+    largest head keeps it finite and nonzero at large g, where every head
+    underflows; the oracle reads only its direction.
     """
-    log_head, om = _log_heads(q, log_eta, g)
-    shift = log_head.max(axis=1)
-    log_head -= shift[:, None]
+    om = (1.0 - q).clip(_GRAD_EPS, 1.0)
+    log_head = log_eta + g * np.log(om)
+    log_head -= log_head.max(axis=1, keepdims=True)
     # eta_i / q_i is taken in the log domain, where q_i may be tiny
-    grad = g * np.exp(log_head) * log_q / om - np.exp(log_head - log_q)
-    return shift, _risk_value(log_head, log_q), grad
+    return g * np.exp(log_head) * log_q / om - np.exp(log_head - log_q)
 
 
 def _spread(grad: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -245,82 +226,83 @@ def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
 
     Each iterate is ``q <- q * exp(-s * grad W)`` normalized, the KL
     projection onto the simplex, kept as its exact log so that no zero
-    reaches ``log``.  Risk, gradient and step are scaled per row (see
-    ``_scaled_state``).  Each row starts at the uniform vector on its
+    reaches ``log``; the gradient is scaled per row (see
+    ``_scaled_gradient``).  Each row starts at the uniform vector on its
     support with step ``s = 1 / max|grad W|``, doubles its step at every
-    iteration and halves it until the Armijo condition holds.  A row stops
-    once the relative spread of ``grad W`` on its support is at most
-    ``_PG_TOL``, or once the line search is at float resolution, which on
-    this convex objective is numerical optimality: its accepted step moves
-    no ``q_i`` by more than ``_MOVE_TOL``, or its spread has not fallen for
-    ``_PG_PATIENCE`` iterations (the step then swings between two points
-    that the Armijo test cannot tell apart).  Stopped rows are frozen.
+    iteration and halves it until the candidate ``q'`` passes the sign test
+
+        <grad W(q') - c, q' - q> <= 0,   c = sum_i q'_i grad_i W(q'),
+
+    which by convexity gives ``W(q') <= W(q)``.  Both moves sum to zero, so
+    subtracting the mean gradient ``c`` changes nothing in exact arithmetic
+    and removes the rounding of ``c * sum(q' - q)``; the test reads no risk
+    value and no scale.  A row stops once the relative spread of
+    ``grad W`` on its support is at most ``_PG_TOL``, or once its accepted
+    step moves no ``q_i`` by more than ``_MOVE_TOL``, the float resolution
+    of the iterate.  Stopped rows are frozen.
     """
     support = eta > 0.0
     log_eta = np.full_like(eta, -np.inf)
     log_eta[support] = np.log(eta[support])
     log_q = np.where(support, -np.log(support.sum(axis=1, keepdims=True)), 0.0)
     q = np.where(support, np.exp(log_q), 0.0)
-    shift, f, grad = _scaled_state(q, log_q, log_eta, g)
+    grad = _scaled_gradient(q, log_q, log_eta, g)
     spread = _spread(grad, support)
     step = 1.0 / np.abs(grad).max(axis=1)
     stalled = np.zeros(eta.shape[0], dtype=bool)
-    best, since = spread.copy(), np.zeros(eta.shape[0], dtype=int)
 
     q_star = np.zeros_like(eta)
     rows = np.arange(eta.shape[0])
     iterations, residual = 0, 0.0
     while True:
-        done = (spread <= _PG_TOL) | stalled | (since == _PG_PATIENCE)
+        done = (spread <= _PG_TOL) | stalled
         if done.any():
             q_star[rows[done]] = q[done]
             residual = max(residual, float(spread[done].max()))
             keep = ~done
             rows, log_eta, support = rows[keep], log_eta[keep], support[keep]
-            q, log_q, shift, f, grad = q[keep], log_q[keep], shift[keep], f[keep], grad[keep]
-            spread, step, best, since = spread[keep], step[keep], best[keep], since[keep]
+            q, log_q, grad = q[keep], log_q[keep], grad[keep]
+            spread, step = spread[keep], step[keep]
         if rows.size == 0:
             return q_star, iterations, residual
         if iterations == _PG_ITERS:
             raise ConvergenceError("mirror descent hit the iteration cap", float(spread.max()))
         iterations += 1
         step *= 2.0
-        q_new, log_new = q.copy(), log_q.copy()
+        stalled = np.zeros(rows.size, dtype=bool)
         pending = np.arange(rows.size)
         while pending.size:
-            sup = support[pending]
-            qc, lc = _mirror_step(log_q[pending], grad[pending], step[pending], sup)
-            log_head, _ = _log_heads(qc, log_eta[pending], g)
-            fc = _risk_value(log_head - shift[pending, None], lc)
+            qc, lc = _mirror_step(log_q[pending], grad[pending], step[pending], support[pending])
             d = qc - q[pending]
-            ok = fc <= f[pending] + _ARMIJO * (grad[pending] * d).sum(axis=1)
-            ok |= np.abs(d).max(axis=1) <= _MOVE_TOL
+            # a candidate far past the minimum can have an entry so small
+            # that its gradient overflows to -inf; the test then reads NaN
+            # and rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                gc = _scaled_gradient(qc, lc, log_eta[pending], g)
+                centred = gc - (qc * gc).sum(axis=1, keepdims=True)
+                ok = (centred * d).sum(axis=1) <= 0.0
+            still = np.abs(d).max(axis=1) <= _MOVE_TOL
+            ok |= still
             took = pending[ok]
-            q_new[took], log_new[took] = qc[ok], lc[ok]
+            q[took], log_q[took], grad[took], stalled[took] = qc[ok], lc[ok], gc[ok], still[ok]
             pending = pending[~ok]
             step[pending] *= 0.5
-        stalled = np.abs(q_new - q).max(axis=1) <= _MOVE_TOL
-        q, log_q = q_new, log_new
-        old_shift = shift
-        shift, f, grad = _scaled_state(q, log_q, log_eta, g)
-        step *= np.exp(shift - old_shift)
         spread = _spread(grad, support)
-        since = np.where(spread < best, 0, since + 1)
-        best = np.minimum(best, spread)
 
 
 def minimize_risk_pg(eta, gamma: float) -> RiskMinimizerResult:
     """Minimize the pointwise risk by entropic mirror descent.
 
-    The first-order oracle of the module docstring, with a per-row Armijo
-    line search.  ``eta`` is one posterior or an ``(n, k)`` stack, each row
-    solved independently and bit-identical to solving it alone at the same
-    k.  Classes with ``eta_i == 0`` get ``q_i == 0`` exactly and a
-    one-class support gets its one-hot vector.  A row stops when the
-    relative spread of the gradient on its support is at most 1e-9, when
-    its iterate stops moving in float64, or after 1,000 iterations without
-    a smaller spread; ``residual`` is the largest spread reached and
-    ``iterations`` the largest iteration count.
+    The first-order oracle of the module docstring: a row keeps a step
+    when ``<grad W(q') - c, q' - q> <= 0`` at the candidate ``q'``, with
+    ``c`` its mean gradient ``sum_i q'_i grad_i W(q')``, and halves the
+    step until it does.  ``eta`` is one posterior or an ``(n, k)`` stack,
+    each row solved independently and bit-identical to solving it alone
+    at the same k.  Classes with ``eta_i == 0`` get ``q_i == 0`` exactly
+    and a one-class support gets its one-hot vector.  A row stops when the
+    relative spread of the gradient on its support is at most 1e-9 or
+    when its iterate stops moving in float64; ``residual`` is the largest
+    spread reached and ``iterations`` the largest iteration count.
     Raises ``ConvergenceError`` carrying the residual when a row is still
     running after 100,000 iterations.
     """

@@ -294,12 +294,18 @@ def run_verify(
 
     One draw of ``max(n_random, 20)`` posteriors serves five checks; the
     oracle solves the first ``max(20, n_random // 4)`` of them.  Raises
-    ``DomainError`` when ``n_random < 1``: each random check needs a sample.
+    ``DomainError`` before any draw when ``n_random < 1`` (each random check
+    needs a sample), when either list is empty, for a gamma that is not a
+    finite value >= 0 and for a k below 2.
     """
     if n_random < 1:
         raise DomainError(f"n_random must be >= 1, got {n_random}")
-    gammas = tuple(float(g) for g in gamma_list)
+    gammas = tuple(core.require_gamma(g) for g in gamma_list)
     ks = tuple(int(k) for k in k_list)
+    if not gammas or not ks:
+        raise DomainError("gamma_list and k_list must not be empty")
+    if min(ks) < 2:
+        raise DomainError(f"need k >= 2 classes, got {min(ks)}")
     rng = np.random.default_rng(seed)
     n_draw, n_few = max(n_random, 20), max(20, n_random // 4)
     trip, agree, argmax, order, identity = _draw_checks(rng, gammas, ks, n_draw, n_few)

@@ -115,6 +115,13 @@ class TestMetricsCommand:
         assert field(raw, "error_rate") == field(rec, "error_rate")
         assert field(raw, "ece") != field(rec, "ece")
 
+    def test_integer_score_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        huge = "1" + "0" * 400
+        bad.write_text(f'{{"label": 1, "scores": [0.5, 0.5]}}\n{{"label": 1, "scores": [{huge}, 0]}}\n')
+        assert main(["metrics", "--input", str(bad)]) == 3
+        assert "line 2: non-finite score" in capsys.readouterr().err
+
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,s1,s2\n1,0.9,0.5\n")
@@ -379,6 +386,20 @@ class TestVerifyCommand:
     def test_zero_samples_is_data_error(self, capsys):
         assert main(["verify", "--n-random", "0"]) == 3
         assert "n_random" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--gamma-list", "nan"], "gamma must be a finite value >= 0, got nan"),
+            (["--gamma-list", "2", "-1"], "gamma must be a finite value >= 0, got -1.0"),
+            (["--k-list", "-3"], "need k >= 2 classes, got -3"),
+            (["--k-list", "4", "1"], "need k >= 2 classes, got 1"),
+        ],
+    )
+    def test_bad_lists_are_data_errors(self, capsys, args, message):
+        assert main(["verify", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import focal_calib.cli as cli_mod

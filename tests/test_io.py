@@ -104,6 +104,12 @@ class TestJsonlLoading:
         with pytest.raises(ParseError):
             load_predictions(_write(tmp_path, "p.jsonl", '{"label": 1}\n'))
 
+    def test_integer_score_beyond_float_range_reports_line(self, tmp_path):
+        path = _write(tmp_path, "p.jsonl", JSONL_CORPUS["huge_int_score_late"])
+        with pytest.raises(ParseError, match="non-finite score") as info:
+            load_predictions(path)
+        assert info.value.line == 2
+
     def test_boolean_label_rejected_with_line(self, tmp_path):
         text = '{"label": 1, "scores": [0.6, 0.4]}\n{"label": true, "scores": [0.5, 0.5]}\n'
         with pytest.raises(ParseError) as info:
@@ -236,6 +242,8 @@ JSONL_CORPUS = {
     "object_score": '{"label": 1, "scores": [{}, 0.3]}\n',
     "big_int_scores": '{"label": 1, "scores": [9007199254740993, -18446744073709551617]}\n',
     "huge_int_score": '{"label": 1, "scores": [1' + "0" * 400 + ', 0]}\n',
+    "huge_int_score_late": '{"label": 1, "scores": [0.7, 0.3]}\n{"label": 1, "scores": [1'
+    + "0" * 400 + ', 0]}\n',
     "nan_score": '{"label": 1, "scores": [NaN, 0.3]}\n',
     "inf_score": '{"label": 1, "scores": [Infinity, 0.3]}\n',
     "overflow_score": '{"label": 1, "scores": [1e400, 0.3]}\n',

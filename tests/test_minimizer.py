@@ -236,13 +236,37 @@ class TestProjectedGradientOracle:
 
     def test_two_cycle_row_stops_without_progress(self):
         # the risk change of the 1e-6 entry is below the rounding of the
-        # risk, so the Armijo test passes blindly and the step swings
-        # between two points; the row stops after _PG_PATIENCE iterations
+        # risk; the step test reads only the gradient, so it still sees it
         eta = np.array([0.25, 0.25, 1e-6, 0.25])
         eta /= eta.sum()
         result = minimize_risk_pg(eta, 0.0)
-        assert result.iterations < 2 * minimizer._PG_PATIENCE
+        assert result.iterations < 100
+        assert result.residual <= minimizer._PG_TOL
         assert np.abs(result.q_star - eta).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_rows_reach_the_spread_tolerance(self, k):
+        etas = np.random.default_rng(k).dirichlet(np.ones(k), size=40)
+        for gamma in GAMMAS:
+            assert minimize_risk_pg(etas, gamma).residual <= 1e-9
+
+    def test_peaked_row_at_large_gamma_agrees_with_inverse_solver(self):
+        # entries of 1e-38 to 1e-194 move by less than _MOVE_TOL; the row
+        # stops on the no-move test and must still be at the minimizer
+        eta = np.random.default_rng(0).dirichlet(np.full(10, 0.01), 20)[8]
+        qi = minimize_risk_inverse(eta, 1000.0).q_star
+        qp = minimize_risk_pg(eta, 1000.0).q_star
+        assert np.abs(qi - qp).max() < 1e-5
+
+    def test_candidate_whose_gradient_overflows_is_rejected(self):
+        # an overshooting step takes an entry near 1e-286 so low that its
+        # gradient overflows; that candidate is rejected without a warning
+        eta = np.array([1.0, 5.91332314e-202, 0.0, 3.58649215e-286, 5.28776754e-82, 6.63e-37, 0.0])
+        eta /= eta.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            qp = minimize_risk_pg(eta, 5.0).q_star
+        assert np.abs(qp - minimize_risk_inverse(eta, 5.0).q_star).max() < 1e-12
 
     def test_large_gamma_agrees_with_inverse_solver(self):
         etas = np.random.default_rng(0).dirichlet(np.ones(10), size=50)

@@ -3,10 +3,11 @@
 import re
 
 import numpy as np
+import pytest
 
 import focal_calib.core as core
 import focal_calib.verify as verify
-from focal_calib import run_verify, thresholds
+from focal_calib import DomainError, run_verify, thresholds
 
 
 class TestRunVerify:
@@ -65,6 +66,26 @@ class TestRunVerify:
         assert not check["weight_curve_shape"].passed
         assert check["recovery_round_trip"].passed
         assert not report.all_passed
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gamma_list": []},
+            {"k_list": []},
+            {"gamma_list": [2.0, float("nan")]},
+            {"gamma_list": [-0.5]},
+            {"k_list": [3, 1]},
+            {"k_list": [-3]},
+        ],
+        ids=["no_gamma", "no_k", "nan_gamma", "negative_gamma", "k_1", "negative_k"],
+    )
+    def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the lists")
+
+        monkeypatch.setattr(verify, "_draw_checks", no_draw)
+        with pytest.raises(DomainError):
+            run_verify(**kwargs)
 
     def test_nan_residual_fails_its_check(self, monkeypatch):
         # a builtin max over residuals drops a NaN and reads 0; numpy keeps it
