@@ -80,9 +80,7 @@ from .thresholds import (
     ThresholdPair,
     confidence_direction,
     confidence_region,
-    overconfidence_threshold,
     thresholds,
-    underconfidence_threshold,
 )
 from .verify import VerifyCheck, VerifyReport, run_verify
 
@@ -142,7 +140,6 @@ __all__ = [
     "minimize_risk_inverse",
     "minimize_risk_pg",
     "nll",
-    "overconfidence_threshold",
     "recover_binary",
     "recover_posterior",
     "recover_posterior_rows",
@@ -153,5 +150,4 @@ __all__ = [
     "softmax",
     "thresholds",
     "train_mlp",
-    "underconfidence_threshold",
 ]

@@ -10,6 +10,14 @@ class CalibrationError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class _LineError(CalibrationError):
+    """An error that may name the 1-based line of a file (``.line``)."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
 class DimensionError(CalibrationError):
     """Two vectors that must share a class count do not."""
 
@@ -26,12 +34,8 @@ class DegenerateError(CalibrationError):
     """The requested quantity does not exist for this parameter value."""
 
 
-class InvalidSimplexError(CalibrationError):
+class InvalidSimplexError(_LineError):
     """A vector is not a probability vector within tolerance."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 class ConvergenceError(CalibrationError):
@@ -54,12 +58,8 @@ class EmptyDataError(CalibrationError):
     """A metric or fit was requested on an empty dataset."""
 
 
-class ParseError(CalibrationError):
+class ParseError(_LineError):
     """A prediction file contains a malformed row."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 class InconsistentKError(ParseError):

@@ -171,12 +171,11 @@ def cw_ece(preds: PredictionSet, n_bins: int = 10) -> float:
     return total / k
 
 
-def nll(preds: PredictionSet, mean: bool = False, safe: bool = False) -> float:
+def nll(preds: PredictionSet, safe: bool = False) -> float:
     """Negative log-likelihood of the labels, ``-sum_i log q_{y_i}``.
 
-    A sum by default; ``mean=True`` divides by ``n``.  A label probability
-    of exactly zero yields ``+inf`` unless ``safe=True`` clamps at
-    ``CLAMP_EPS``.
+    A label probability of exactly zero yields ``+inf`` unless
+    ``safe=True`` clamps at ``CLAMP_EPS``.
     """
     _require_nonempty(_require_probabilities(preds))
     label_p = preds.scores[np.arange(preds.n), preds.labels - 1]
@@ -184,8 +183,7 @@ def nll(preds: PredictionSet, mean: bool = False, safe: bool = False) -> float:
         label_p = np.clip(label_p, CLAMP_EPS, 1.0)
     elif np.any(label_p == 0.0):
         return float("inf")
-    total = float(-np.log(label_p).sum())
-    return total / preds.n if mean else total
+    return float(-np.log(label_p).sum())
 
 
 def kld(p, q) -> float:

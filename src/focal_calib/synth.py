@@ -373,7 +373,6 @@ class PanelReport:
     mean_kld: float
     ece: float
     grid_scores: np.ndarray
-    gamma_for_recovery: float | None = None
 
 
 def evaluate_panel(
@@ -403,5 +402,4 @@ def evaluate_panel(
         mean_kld=float(kld_rows(eta_grid, q_grid).mean()),
         ece=ece(preds, n_bins),
         grid_scores=q_grid,
-        gamma_for_recovery=gamma_for_recovery,
     )

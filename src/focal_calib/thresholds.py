@@ -20,7 +20,7 @@ bisection on a sign.  ``tau_oc`` is where the closed-form slope
 turns negative on (0, 0.5); only its bracket is evaluated, so the sign
 survives where ``(1 - v)^g`` underflows.  ``tau_uc`` is where the log
 weight kernel ``core._log_weight`` turns negative on [tau_oc, 0.5].
-Results are memoized per ``(gamma, tol)``.
+Each is bisected to a fixed bracket, and results are memoized per ``gamma``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import core
 from .core import as_simplex, confidence_weight, recover_posterior, require_gamma
 from .errors import DegenerateError, DomainError
 
-DEFAULT_TOL = 1e-10
+_BRACKET = 1e-13
 _DIRECTION_EPS = 1e-12
 
 
@@ -54,22 +54,20 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class ThresholdPair:
-    """Solved thresholds for one ``gamma`` (``tol`` is the solver tolerance)."""
+    """Solved thresholds for one ``gamma``."""
 
     gamma: float
     tau_oc: float
     tau_uc: float
-    tol: float
 
 
-def _bisect(positive, lo: float, hi: float, tol: float) -> float:
+def _bisect(positive, lo: float, hi: float) -> float:
     # the point in [lo, hi] where positive(v) turns False, given that it
-    # holds just above lo and fails at hi.  Stops once the bracket is
-    # within min(tol, 1e-13) or has no float strictly inside it.
-    while hi - lo > min(tol, 1e-13):
+    # holds just above lo and fails at hi.  Inside [0, 0.5] doubles are at
+    # most 5.6e-17 apart, so a bracket wider than _BRACKET always has a
+    # float strictly inside it.
+    while hi - lo > _BRACKET:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
         if positive(mid):
             lo = mid
         else:
@@ -78,41 +76,27 @@ def _bisect(positive, lo: float, hi: float, tol: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def thresholds(gamma: float, tol: float = DEFAULT_TOL) -> ThresholdPair:
+def thresholds(gamma: float) -> ThresholdPair:
     """Both thresholds for ``gamma``, memoized.
 
-    Each is bisected to a bracket of width ``min(tol, 1e-13)``, or to
-    adjacent floats.  ``tau_oc`` needs a sign change of the slope of the
-    weight curve on (0, 0.5); ``tau_uc`` one of ``weight - 1`` on
-    [tau_oc, 0.5], where the weight exceeds 1 at the maximizer and is
-    below 1 at 0.5.  ``tol`` must be finite and > 0.
+    Each is bisected to a bracket of width 1e-13.  ``tau_oc`` needs a
+    sign change of the slope of the weight curve on (0, 0.5); ``tau_uc``
+    one of ``weight - 1`` on [tau_oc, 0.5], where the weight exceeds 1 at
+    the maximizer and is below 1 at 0.5.
     """
     g = require_gamma(gamma)
     if g == 0.0:
         raise DegenerateError(
             "thresholds do not exist at gamma == 0 (the weight curve is constant)"
         )
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
     def slope_positive(v: float) -> bool:
         log_v = math.log(v)
         return (g - 1.0) * v * log_v - (1.0 - v) * (2.0 + log_v) > 0.0
 
-    tau_oc = _bisect(slope_positive, 0.0, 0.5, tol)
-    tau_uc = _bisect(lambda v: core._log_weight(v, g) > 0.0, tau_oc, 0.5, tol)
-    return ThresholdPair(gamma=g, tau_oc=tau_oc, tau_uc=tau_uc, tol=tol)
-
-
-def overconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
-    """Unique maximizer of the weight curve on (0, 0.5); see :func:`thresholds`."""
-    return thresholds(gamma, tol).tau_oc
-
-
-def underconfidence_threshold(gamma: float, tol: float = DEFAULT_TOL) -> float:
-    """Unique root of ``weight == 1`` on the descending branch; see
-    :func:`thresholds`."""
-    return thresholds(gamma, tol).tau_uc
+    tau_oc = _bisect(slope_positive, 0.0, 0.5)
+    tau_uc = _bisect(lambda v: core._log_weight(v, g) > 0.0, tau_oc, 0.5)
+    return ThresholdPair(gamma=g, tau_oc=tau_oc, tau_uc=tau_uc)
 
 
 def confidence_region(max_score: float, gamma: float) -> Region:

@@ -14,6 +14,7 @@ check's worst residual is one numpy max, so a NaN residual fails it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,6 +288,14 @@ def _check_low_confidence_witness() -> VerifyCheck:
     )
 
 
+def _class_count(k) -> int:
+    # an integral float such as 3.0 is a count, as for PredictionSet's
+    # labels; a fraction, a bool or a non-finite value is not
+    if isinstance(k, (bool, np.bool_)) or not (math.isfinite(k) and k == int(k)):
+        raise DomainError(f"k must be a whole number of classes, got {k!r}")
+    return int(k)
+
+
 def run_verify(
     gamma_list=DEFAULT_GAMMAS, k_list=DEFAULT_KS, n_random: int = 200, seed: int = 0
 ) -> VerifyReport:
@@ -296,12 +305,12 @@ def run_verify(
     oracle solves the first ``max(20, n_random // 4)`` of them.  Raises
     ``DomainError`` before any draw when ``n_random < 1`` (each random check
     needs a sample), when either list is empty, for a gamma that is not a
-    finite value >= 0 and for a k below 2.
+    finite value >= 0 and for a k that is not a whole number >= 2.
     """
     if n_random < 1:
         raise DomainError(f"n_random must be >= 1, got {n_random}")
     gammas = tuple(core.require_gamma(g) for g in gamma_list)
-    ks = tuple(int(k) for k in k_list)
+    ks = tuple(_class_count(k) for k in k_list)
     if not gammas or not ks:
         raise DomainError("gamma_list and k_list must not be empty")
     if min(ks) < 2:

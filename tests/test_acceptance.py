@@ -27,14 +27,12 @@ from focal_calib import (
     minimize_risk_inverse,
     minimize_risk_pg,
     nll,
-    overconfidence_threshold,
     recover_binary,
     recover_posterior,
     recover_posterior_rows,
     recovery_score,
     thresholds,
     train_mlp,
-    underconfidence_threshold,
 )
 
 SWEEP_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
@@ -99,8 +97,8 @@ def test_criterion_03_threshold_ordering():
     worst = 0.0
     ordered = True
     for gamma in THRESHOLD_GAMMAS:
-        tau_oc = overconfidence_threshold(gamma, 1e-10)
-        tau_uc = underconfidence_threshold(gamma, 1e-10)
+        tau_oc = thresholds(gamma).tau_oc
+        tau_uc = thresholds(gamma).tau_uc
         ordered &= 0.0 < tau_oc < tau_uc < 0.5
         worst = max(worst, abs(confidence_weight(tau_uc, gamma) - 1.0))
     ok = ordered and worst < 1e-9

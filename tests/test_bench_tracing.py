@@ -17,3 +17,12 @@ def test_traced_names_exist():
         module = importlib.import_module(f"focal_calib.{short}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"focal_calib.{short}.{name}"
+
+
+def test_thresholds_memo_is_exposed():
+    # bench/worker.py clears this memo before each command and the tracer
+    # reads its hit counts, so the public function must stay the memo itself
+    from focal_calib.thresholds import thresholds
+
+    assert callable(thresholds.cache_clear)
+    assert callable(thresholds.cache_info)

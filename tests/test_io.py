@@ -52,9 +52,11 @@ class TestCsvLoading:
 
     def test_bad_sum_reports_line(self, tmp_path):
         path = _write(tmp_path, "p.csv", "label,s1,s2\n1,0.7,0.3\n1,0.5,0.3\n")
-        with pytest.raises(InvalidSimplexError) as info:
+        with pytest.raises(InvalidSimplexError, match=r"^line 3: ") as info:
             load_predictions(path)
         assert info.value.line == 3
+        # both carry a line number, but `except ParseError` must not catch a bad sum
+        assert not isinstance(info.value, ParseError)
 
     def test_renormalize_rescues_bad_sum(self, tmp_path):
         path = _write(tmp_path, "p.csv", "label,s1,s2\n1,0.4,0.4\n")

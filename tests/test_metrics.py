@@ -164,11 +164,6 @@ class TestNll:
         two = _preds([[0.5, 0.5], [0.5, 0.5]], [1, 2])
         assert nll(two) == pytest.approx(2 * math.log(2), abs=1e-15)
 
-    def test_sum_vs_mean(self):
-        rng = np.random.default_rng(5)
-        preds = _preds(rng.dirichlet(np.ones(3), size=64), rng.integers(1, 4, size=64))
-        assert nll(preds) / 64 == pytest.approx(nll(preds, mean=True), abs=1e-12)
-
     def test_strict_zero_is_inf(self):
         preds = _preds([[0.0, 1.0]], [1])
         assert nll(preds) == math.inf

@@ -14,10 +14,8 @@ from focal_calib import (
     confidence_direction,
     confidence_region,
     confidence_weight,
-    overconfidence_threshold,
     recover_posterior,
     thresholds,
-    underconfidence_threshold,
 )
 
 GAMMAS = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
@@ -26,21 +24,21 @@ GAMMAS = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
 class TestThresholdSolvers:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_ordering(self, gamma):
-        pair = thresholds(gamma, 1e-10)
+        pair = thresholds(gamma)
         assert 0.0 < pair.tau_oc < pair.tau_uc < 0.5
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_uc_threshold_solves_weight_equals_one(self, gamma):
-        tau = underconfidence_threshold(gamma, 1e-10)
+        tau = thresholds(gamma).tau_uc
         assert abs(confidence_weight(tau, gamma) - 1.0) < 1e-9
 
     def test_uc_threshold_tight_residual(self):
-        tau = underconfidence_threshold(2.0, 1e-10)
+        tau = thresholds(2.0).tau_uc
         assert abs(confidence_weight(tau, 2.0) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_oc_threshold_is_local_max(self, gamma):
-        tau = overconfidence_threshold(gamma, 1e-10)
+        tau = thresholds(gamma).tau_oc
         w = confidence_weight(tau, gamma)
         assert confidence_weight(tau - 1e-7, gamma) <= w + 1e-12
         assert confidence_weight(tau + 1e-7, gamma) <= w + 1e-12
@@ -49,19 +47,17 @@ class TestThresholdSolvers:
         # for gamma = 1 the defining equations solve by hand:
         # d/dv [(1-v) - v log v] = -2 - log v  =>  maximizer exp(-2);
         # (1-v) - v log v = 1  =>  v (1 + log v) = 0  =>  root exp(-1)
-        assert overconfidence_threshold(1.0, 1e-12) == pytest.approx(math.exp(-2), abs=1e-12)
-        assert underconfidence_threshold(1.0, 1e-12) == pytest.approx(math.exp(-1), abs=1e-8)
+        assert thresholds(1.0).tau_oc == pytest.approx(math.exp(-2), abs=1e-12)
+        assert thresholds(1.0).tau_uc == pytest.approx(math.exp(-1), abs=1e-8)
 
     def test_gamma_three_against_dense_grid(self):
         grid = np.linspace(1e-9, 0.5, 1_000_000)
         brute = grid[np.argmax(confidence_weight(grid, 3.0))]
-        assert overconfidence_threshold(3.0, 1e-10) == pytest.approx(brute, abs=1e-6)
+        assert thresholds(3.0).tau_oc == pytest.approx(brute, abs=1e-6)
 
     def test_degenerate_at_gamma_zero(self):
         with pytest.raises(DegenerateError):
-            overconfidence_threshold(0.0)
-        with pytest.raises(DegenerateError):
-            underconfidence_threshold(0.0)
+            thresholds(0.0)
 
     @pytest.mark.parametrize("gamma", [1e-6, 1e3, 1e4, 1e5])
     def test_extreme_gamma(self, gamma):
@@ -73,31 +69,20 @@ class TestThresholdSolvers:
                 gamma - 1.0
             ) * (1.0 - v) ** (gamma - 2.0) * v * math.log(v)
 
-        pair = thresholds(gamma, 1e-10)
+        pair = thresholds(gamma)
         assert 0.0 < pair.tau_oc < pair.tau_uc < 0.5
         assert confidence_weight(pair.tau_oc, gamma) > 1.0
         assert abs(confidence_weight(pair.tau_uc, gamma) - 1.0) <= 1e-9
         assert slope(pair.tau_oc * (1.0 - 1e-6)) > 0.0 > slope(pair.tau_oc * (1.0 + 1e-6))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(DomainError):
-            thresholds(2.0, tol)
-
-    def test_tiny_tol_terminates(self):
-        # below the float spacing the bisection stops at adjacent floats
-        pair = thresholds(2.0, 1e-300)
-        assert pair.tau_oc == pytest.approx(thresholds(2.0).tau_oc, abs=1e-13)
-        assert pair.tau_uc == pytest.approx(thresholds(2.0).tau_uc, abs=1e-13)
-
     def test_small_gamma_still_inside_interval(self):
-        pair = thresholds(0.01, 1e-10)
+        pair = thresholds(0.01)
         assert 0.0 < pair.tau_oc < pair.tau_uc < 0.5
 
     def test_cache_concurrent_readers(self):
         thresholds.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: thresholds(2.0, 1e-10), range(32)))
+            results = list(pool.map(lambda _: thresholds(2.0), range(32)))
         assert len({(r.tau_oc, r.tau_uc) for r in results}) == 1
 
 

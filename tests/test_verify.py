@@ -76,8 +76,9 @@ class TestRunVerify:
             {"gamma_list": [-0.5]},
             {"k_list": [3, 1]},
             {"k_list": [-3]},
+            {"k_list": [2.7]},
         ],
-        ids=["no_gamma", "no_k", "nan_gamma", "negative_gamma", "k_1", "negative_k"],
+        ids=["no_gamma", "no_k", "nan_gamma", "negative_gamma", "k_1", "negative_k", "fractional_k"],
     )
     def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
         def no_draw(*args):
