@@ -164,6 +164,13 @@ class TestNll:
         two = _preds([[0.5, 0.5], [0.5, 0.5]], [1, 2])
         assert nll(two) == pytest.approx(2 * math.log(2), abs=1e-15)
 
+    def test_sum_over_rows(self):
+        rng = np.random.default_rng(5)
+        scores = rng.dirichlet(np.ones(3), size=64)
+        labels = rng.integers(1, 4, size=64)
+        halves = nll(_preds(scores[:32], labels[:32])) + nll(_preds(scores[32:], labels[32:]))
+        assert nll(_preds(scores, labels)) == pytest.approx(halves, rel=1e-12)
+
     def test_strict_zero_is_inf(self):
         preds = _preds([[0.0, 1.0]], [1])
         assert nll(preds) == math.inf

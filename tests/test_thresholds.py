@@ -79,6 +79,13 @@ class TestThresholdSolvers:
         pair = thresholds(0.01)
         assert 0.0 < pair.tau_oc < pair.tau_uc < 0.5
 
+    def test_one_memo_entry_per_gamma(self):
+        thresholds.cache_clear()
+        first = thresholds(2.0)
+        assert thresholds(2.0) is first
+        info = thresholds.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
     def test_cache_concurrent_readers(self):
         thresholds.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:

@@ -77,8 +77,22 @@ class TestRunVerify:
             {"k_list": [3, 1]},
             {"k_list": [-3]},
             {"k_list": [2.7]},
+            {"k_list": [True, 3]},
+            {"k_list": [float("nan")]},
+            {"k_list": [float("inf")]},
         ],
-        ids=["no_gamma", "no_k", "nan_gamma", "negative_gamma", "k_1", "negative_k", "fractional_k"],
+        ids=[
+            "no_gamma",
+            "no_k",
+            "nan_gamma",
+            "negative_gamma",
+            "k_1",
+            "negative_k",
+            "fractional_k",
+            "bool_k",
+            "nan_k",
+            "inf_k",
+        ],
     )
     def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
         def no_draw(*args):
@@ -87,6 +101,11 @@ class TestRunVerify:
         monkeypatch.setattr(verify, "_draw_checks", no_draw)
         with pytest.raises(DomainError):
             run_verify(**kwargs)
+
+    def test_integral_float_k_is_a_class_count(self):
+        as_float = run_verify(gamma_list=[2.0], k_list=[3.0], n_random=4, seed=1)
+        as_int = run_verify(gamma_list=[2.0], k_list=[3], n_random=4, seed=1)
+        assert as_float.format_table() == as_int.format_table()
 
     def test_nan_residual_fails_its_check(self, monkeypatch):
         # a builtin max over residuals drops a NaN and reads 0; numpy keeps it
