@@ -11,7 +11,6 @@ suite that checks every claim numerically.
 """
 
 from .calibrate import (
-    Objective,
     TemperatureFit,
     apply_psi_dataset,
     apply_temperature,
@@ -101,7 +100,6 @@ __all__ = [
     "InconsistentKError",
     "InvalidSimplexError",
     "MlpModel",
-    "Objective",
     "PanelReport",
     "ParseError",
     "PredictionSet",

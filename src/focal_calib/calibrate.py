@@ -5,18 +5,16 @@ Two independent operators that may be chained in any order:
 * temperature scaling (divide logits by a fitted scalar before softmax),
 * the closed-form posterior recovery transform applied row-wise.
 
-Temperature fitting minimizes the validation objective (negative
-log-likelihood, or the focal loss) over ``t`` in ``[0.01, 100]`` by a
-bracketed Newton solve in ``beta = 1 / t``.  One pass over the logits
-gives the objective and its first two derivatives in ``beta``, and NLL is
-the ``gamma == 0`` case of the focal kernel, so both objectives share the
-solve.  An optimum at an end of the range is returned exactly, and the
+Temperature fitting minimizes the focal loss at ``gamma`` on a validation
+set, which at ``gamma == 0`` is the negative log-likelihood, over ``t`` in
+``[0.01, 100]`` by a bracketed Newton solve in ``beta = 1 / t``.  One pass
+over the logits gives the objective and its first two derivatives in
+``beta``.  An optimum at an end of the range is returned exactly, and the
 reported optimum is ``t == 1`` unless the fit strictly beats it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,21 +31,15 @@ _MAX_PASSES = 64        # above the ~35 passes of bisecting log beta alone
 _LOG_EPS = math.log(CLAMP_EPS)
 
 
-class Objective(enum.Enum):
-    NLL = "nll"
-    FOCAL = "focal"
-
-
 @dataclass(frozen=True)
 class TemperatureFit:
-    """Fitted temperature and the objective value it achieved.
+    """Fitted temperature and the focal objective value it achieved.
 
     ``achieved <= baseline`` always holds, where ``baseline`` is the
-    objective at ``t == 1`` on the fitting set.
+    objective at ``t == 1`` on the fitting set; ``gamma == 0`` is NLL.
     """
 
     temperature: float
-    objective: Objective
     gamma: float
     achieved: float
     baseline: float
@@ -191,17 +183,13 @@ def _solve_beta(evaluate, beta: float, state: tuple, hi: float, hi_seen: bool):
     return beta, state
 
 
-def fit_temperature(
-    preds: PredictionSet,
-    objective: Objective = Objective.NLL,
-    gamma: float = 0.0,
-) -> TemperatureFit:
-    """Fit the temperature minimizing the objective over ``[T_MIN, T_MAX]``.
+def fit_temperature(preds: PredictionSet, gamma: float = 0.0) -> TemperatureFit:
+    """Fit the temperature minimizing the focal loss at ``gamma`` (NLL at 0).
 
-    A safeguarded Newton solve of ``dF/dbeta = 0`` in ``beta = 1 / t``
-    from ``t == 1`` (see ``_solve_beta``) lands on a local minimum, to a
-    relative ``1e-9`` in ``beta``, or returns ``T_MIN`` or ``T_MAX``
-    exactly when the slope there points out of the range.  If some label
+    Over ``[T_MIN, T_MAX]``, a safeguarded Newton solve of ``dF/dbeta = 0``
+    in ``beta = 1 / t`` from ``t == 1`` (see ``_solve_beta``) lands on a
+    local minimum, to a relative ``1e-9`` in ``beta``, or returns ``T_MIN``
+    or ``T_MAX`` exactly when the slope there points out of the range.  If some label
     probabilities sit on the ``CLAMP_EPS`` floor there, a second solve
     starts from ``T_MAX`` and the lower of the two is kept.  The fit falls
     back to ``t == 1`` unless it strictly beats it, so ``achieved`` never
@@ -213,10 +201,9 @@ def fit_temperature(
     z = _as_logits(preds)
     zmax = z.max(axis=1)
     label_w = z[np.arange(preds.n), preds.labels - 1] - zmax
-    kernel_g = 0.0 if objective is Objective.NLL else g
 
     def evaluate(beta: float) -> tuple:
-        return _temperature_pass(z, zmax, label_w, beta, kernel_g)
+        return _temperature_pass(z, zmax, label_w, beta, g)
 
     state = evaluate(1.0)
     baseline = state[0]
@@ -231,7 +218,7 @@ def fit_temperature(
     t, achieved = 1.0 / beta, f
     if not achieved < baseline:
         t, achieved = 1.0, baseline
-    return TemperatureFit(t, objective, g, achieved, baseline)
+    return TemperatureFit(t, g, achieved, baseline)
 
 
 def scale_dataset(preds: PredictionSet, t: float) -> PredictionSet:

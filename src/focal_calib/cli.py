@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .calibrate import (
-    Objective,
     apply_psi_dataset,
     apply_temperature,
     fit_temperature,
     scale_dataset,
     softmax,
 )
+from .core import require_count
 from .errors import CalibrationError, DomainError
 from .io import FileFormat, _atomic_writer, load_predictions, save_predictions, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
@@ -156,11 +156,9 @@ def _cmd_ts_fit(args) -> int:
     preds = load_predictions(
         args.input, _format_arg(args.format), _kind_arg(args.kind), args.renormalize
     )
-    objective = Objective.NLL if args.objective == "nll" else Objective.FOCAL
-    fit = fit_temperature(preds, objective, args.gamma)
+    fit = fit_temperature(preds, args.gamma)
     print(f"temperature={fit.temperature:.6f}")
-    suffix = f" gamma={fit.gamma:g}" if objective is Objective.FOCAL else ""
-    print(f"objective={fit.objective.value}{suffix}")
+    print("objective=nll" if fit.gamma == 0.0 else f"objective=focal gamma={fit.gamma:g}")
     print(f"achieved={fit.achieved:.6f}")
     print(f"baseline_t1={fit.baseline:.6f}")
     return EXIT_OK
@@ -206,8 +204,7 @@ def _build_synth_config(cfg: dict, seed: int) -> tuple[SyntheticDistribution, Tr
         except (TypeError, ValueError, OverflowError):
             raise CalibrationError(f"bad value for synth config key {key!r}: {raw!r}") from None
     for key in ("n_train", "n_test", "grid_n", "bins"):
-        if values[key] < 1:
-            raise DomainError(f"{key} must be >= 1, got {values[key]}")
+        require_count(values[key], key, 1)
     lo, hi = values["grid_lo"], values["grid_hi"]
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError(f"need finite grid_lo < grid_hi, got {lo} and {hi}")
@@ -261,11 +258,8 @@ def _cmd_synth(args) -> int:
         # (variant name, grid rows, test rows, recovery gamma)
         variants = [(f"{name}_raw", q_grid, q_test, None)]
         if focal:
-            fit = fit_temperature(
-                PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS),
-                Objective.NLL,
-            )
-            t = fit.temperature
+            val = PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS)
+            t = fit_temperature(val).temperature
             variants.append(
                 (
                     f"{name}_ts",
@@ -372,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["csv", "jsonl"])
     p.add_argument("--kind", choices=["probabilities", "logits"], default="logits")
-    p.add_argument("--objective", choices=["nll", "focal"], default="nll")
-    p.add_argument("--gamma", type=float, default=0.0, help="focal objective parameter")
+    p.add_argument(
+        "--gamma", type=float, default=0.0, help="focal gamma of the objective; 0 (default) is NLL"
+    )
     p.set_defaults(handler=_cmd_ts_fit)
 
     p = sub.add_parser("synth", help="run the synthetic mixture experiment")

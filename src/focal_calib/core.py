@@ -44,6 +44,8 @@ here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -65,6 +67,21 @@ def require_gamma(gamma: float) -> float:
     if not np.isfinite(g) or g < 0.0:
         raise DomainError(f"gamma must be a finite value >= 0, got {gamma!r}")
     return g
+
+
+def require_count(value, name: str, minimum: int, unit: str = "") -> int:
+    """Validate a count argument, such as a class or grid size; return an int.
+
+    A count is a whole number, not a bool, of at least ``minimum``.  An
+    integral float such as ``3.0`` is one, as for PredictionSet's labels;
+    a fraction or a non-finite value is not.  ``unit`` words the messages.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value == int(value)):
+        raise DomainError(f"{name} must be a whole number{unit and ' of ' + unit}, got {value!r}")
+    if value < minimum:
+        bound = f"need {name} >= {minimum} {unit}" if unit else f"{name} must be >= {minimum}"
+        raise DomainError(f"{bound}, got {value}")
+    return int(value)
 
 
 def validate_simplex_rows(rows, tol: float, lines=None) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLAMP_EPS, ROW_SUM_TOL, SIMPLEX_TOL, validate_simplex_rows
+from .core import CLAMP_EPS, ROW_SUM_TOL, SIMPLEX_TOL, require_count, validate_simplex_rows
 from .errors import DimensionError, DomainError, EmptyDataError, InvalidSimplexError
 
 # score entries binned at once by ``cw_ece``
@@ -111,15 +111,17 @@ def _require_nonempty(preds: PredictionSet) -> PredictionSet:
 
 
 def bin_index(confidence: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width bin assignment (1-based): ``ceil(c * n_bins)``, c==0 -> 1."""
-    if n_bins < 1:
-        raise DomainError(f"n_bins must be >= 1, got {n_bins}")
+    """Equal-width bin assignment (1-based): ``ceil(c * n_bins)``, c==0 -> 1.
+
+    ``n_bins`` is a count already checked by ``require_count``.
+    """
     idx = np.ceil(np.asarray(confidence, dtype=float) * n_bins).astype(int)
     return np.clip(idx, 1, n_bins)
 
 
 def bin_reliability(preds: PredictionSet, n_bins: int) -> BinningReport:
     """Bin samples by top-class confidence and report per-bin statistics."""
+    n_bins = require_count(n_bins, "n_bins", 1)
     _require_nonempty(_require_probabilities(preds))
     conf = preds.scores.max(axis=1)
     correct = preds.scores.argmax(axis=1) + 1 == preds.labels
@@ -150,6 +152,7 @@ def cw_ece(preds: PredictionSet, n_bins: int = 10) -> float:
     against the mean class-``l`` probability, weighted by bin mass, and
     the classwise sums are averaged over classes.
     """
+    n_bins = require_count(n_bins, "n_bins", 1)
     _require_nonempty(_require_probabilities(preds))
     n, k = preds.n, preds.k
     total = 0.0

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import SIMPLEX_TOL, require_gamma, validate_simplex_rows
-from .errors import ConvergenceError, DomainError
+from .core import SIMPLEX_TOL, require_count, require_gamma, validate_simplex_rows
+from .errors import ConvergenceError
 
 _NEWTON_ITERS = 100        # cap on Newton steps per inverse solve
 _SUM_TOL = 1e-12           # |sum(q) - 1| a Newton row must reach
@@ -328,10 +328,8 @@ def confidence_curve(k: int, gamma: float, grid_size: int = 100) -> list[tuple[f
     the diagonal; for large ``k`` and small ``gamma`` it crosses above
     near ``1/k``.
     """
-    if k < 2:
-        raise DomainError(f"need k >= 2 classes, got {k}")
-    if grid_size < 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
+    k = require_count(k, "k", 2, "classes")
+    grid_size = require_count(grid_size, "grid_size", 1)
     g = require_gamma(gamma)
     tops = 1.0 / k + (np.arange(1, grid_size + 1) / (grid_size + 1.0)) * (1.0 - 1.0 / k)
     etas = np.repeat(((1.0 - tops) / (k - 1))[:, None], k, axis=1)

@@ -25,6 +25,8 @@ from .core import CLAMP_EPS, _focal_terms, recover_posterior_rows, require_gamma
 from .errors import DimensionError, DivergenceError, DomainError, EmptyDataError
 from .metrics import PredictionSet, ScoreKind, error_rate, ece, kld_rows
 
+_GRAD_STEP = 1e-5          # central-difference step of grad_check
+
 
 @dataclass(frozen=True)
 class SyntheticDistribution:
@@ -324,7 +326,7 @@ def train_mlp(
     return results[0] if isinstance(config, TrainConfig) else results
 
 
-def grad_check(model: MlpModel, gamma: float, x: float, y: int, step: float = 1e-5) -> float:
+def grad_check(model: MlpModel, gamma: float, x: float, y: int) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
     Perturbs every parameter of the model in place (restoring it), using
@@ -350,12 +352,12 @@ def grad_check(model: MlpModel, gamma: float, x: float, y: int, step: float = 1e
         flat_g = grad.reshape(-1)
         for idx in range(flat_p.size):
             original = flat_p[idx]
-            flat_p[idx] = original + step
+            flat_p[idx] = original + _GRAD_STEP
             plus = loss_at()
-            flat_p[idx] = original - step
+            flat_p[idx] = original - _GRAD_STEP
             minus = loss_at()
             flat_p[idx] = original
-            numeric = (plus - minus) / (2.0 * step)
+            numeric = (plus - minus) / (2.0 * _GRAD_STEP)
             scale = max(abs(numeric), abs(flat_g[idx]), 1e-8)
             worst = max(worst, abs(numeric - flat_g[idx]) / scale)
     return worst

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core
-from .core import as_simplex, confidence_weight, recover_posterior, require_gamma
+from .core import as_simplex, confidence_weight, recover_posterior, require_count, require_gamma
 from .errors import DegenerateError, DomainError
 
 _BRACKET = 1e-13
@@ -136,7 +136,5 @@ def confidence_direction(p, gamma: float) -> Direction:
 def weight_curve(gamma: float, grid_size: int = 1001):
     """Sample ``(v, weight)`` pairs on [0, 1] for plotting/export."""
     g = require_gamma(gamma)
-    if grid_size < 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size}")
-    v = np.linspace(0.0, 1.0, grid_size)
+    v = np.linspace(0.0, 1.0, require_count(grid_size, "grid_size", 1))
     return v, np.asarray(confidence_weight(v, g))

@@ -14,7 +14,6 @@ check's worst residual is one numpy max, so a NaN residual fails it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,14 +287,6 @@ def _check_low_confidence_witness() -> VerifyCheck:
     )
 
 
-def _class_count(k) -> int:
-    # an integral float such as 3.0 is a count, as for PredictionSet's
-    # labels; a fraction, a bool or a non-finite value is not
-    if isinstance(k, (bool, np.bool_)) or not (math.isfinite(k) and k == int(k)):
-        raise DomainError(f"k must be a whole number of classes, got {k!r}")
-    return int(k)
-
-
 def run_verify(
     gamma_list=DEFAULT_GAMMAS, k_list=DEFAULT_KS, n_random: int = 200, seed: int = 0
 ) -> VerifyReport:
@@ -303,18 +294,16 @@ def run_verify(
 
     One draw of ``max(n_random, 20)`` posteriors serves five checks; the
     oracle solves the first ``max(20, n_random // 4)`` of them.  Raises
-    ``DomainError`` before any draw when ``n_random < 1`` (each random check
-    needs a sample), when either list is empty, for a gamma that is not a
-    finite value >= 0 and for a k that is not a whole number >= 2.
+    ``DomainError`` before any draw when ``n_random`` is not a whole number
+    >= 1 (each random check needs a sample), when either list is empty, for
+    a gamma that is not a finite value >= 0 and for a k that is not a whole
+    number >= 2.
     """
-    if n_random < 1:
-        raise DomainError(f"n_random must be >= 1, got {n_random}")
+    n_random = core.require_count(n_random, "n_random", 1)
     gammas = tuple(core.require_gamma(g) for g in gamma_list)
-    ks = tuple(_class_count(k) for k in k_list)
+    ks = tuple(core.require_count(k, "k", 2, "classes") for k in k_list)
     if not gammas or not ks:
         raise DomainError("gamma_list and k_list must not be empty")
-    if min(ks) < 2:
-        raise DomainError(f"need k >= 2 classes, got {min(ks)}")
     rng = np.random.default_rng(seed)
     n_draw, n_few = max(n_random, 20), max(20, n_random // 4)
     trip, agree, argmax, order, identity = _draw_checks(rng, gammas, ks, n_draw, n_few)

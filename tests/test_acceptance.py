@@ -12,7 +12,6 @@ import pytest
 
 from focal_calib import (
     MlpModel,
-    Objective,
     PredictionSet,
     ScoreKind,
     TrainConfig,
@@ -277,7 +276,7 @@ def test_criterion_11_temperature_sanity():
     dist = default_distribution()
     x, y = dist.sample(100_000, 29)
     logits = 2.0 * np.log(np.clip(dist.posterior(x), 1e-300, None))
-    fit = fit_temperature(PredictionSet(logits, y, ScoreKind.LOGITS), Objective.NLL)
+    fit = fit_temperature(PredictionSet(logits, y, ScoreKind.LOGITS))
     in_range = 1.9 <= fit.temperature <= 2.1
     never_worse = True
     rng = np.random.default_rng(31)

@@ -9,7 +9,6 @@ import pytest
 from focal_calib import (
     CLAMP_EPS,
     DomainError,
-    Objective,
     PredictionSet,
     ScoreKind,
     apply_psi_dataset,
@@ -69,13 +68,13 @@ class TestFitTemperature:
             logits = rng.normal(0, 2, size=(200, 3))
             labels = rng.integers(1, 4, size=200)
             preds = PredictionSet(logits, labels, ScoreKind.LOGITS)
-            for objective, gamma in ((Objective.NLL, 0.0), (Objective.FOCAL, 2.0)):
-                fit = fit_temperature(preds, objective, gamma)
+            for gamma in (0.0, 2.0):
+                fit = fit_temperature(preds, gamma)
                 assert fit.achieved <= fit.baseline
 
     def test_focal_objective_runs(self):
-        fit = fit_temperature(_logit_set(1.0, n=2000), Objective.FOCAL, 2.0)
-        assert fit.objective is Objective.FOCAL
+        fit = fit_temperature(_logit_set(1.0, n=2000), 2.0)
+        assert fit.gamma == 2.0
         assert fit.temperature > 0
 
     def test_probability_rows_accepted_via_log(self):
@@ -89,8 +88,8 @@ class TestFitTemperature:
         # equal logits within each row: every temperature ties with t == 1
         logits = np.repeat(np.arange(40.0)[:, None], 3, axis=1)
         preds = PredictionSet(logits, np.arange(40) % 3 + 1, ScoreKind.LOGITS)
-        for objective, gamma in ((Objective.NLL, 0.0), (Objective.FOCAL, 2.0)):
-            fit = fit_temperature(preds, objective, gamma)
+        for gamma in (0.0, 2.0):
+            fit = fit_temperature(preds, gamma)
             assert fit.temperature == 1.0
             assert fit.achieved == fit.baseline
 
@@ -198,27 +197,26 @@ def _fit_corpus():
 
 
 _CORPUS = _fit_corpus()
-_OBJECTIVES = [(Objective.NLL, 0.0)] + [(Objective.FOCAL, g) for g in (0.5, 1.0, 2.0, 5.0)]
-_CASES = [(name, objective, gamma) for name in _CORPUS for objective, gamma in _OBJECTIVES]
+_CASES = [(name, gamma) for name in _CORPUS for gamma in (0.0, 0.5, 1.0, 2.0, 5.0)]
 _INTERIOR = [case for case in _CASES if _CORPUS[case[0]][1] == "interior"]
 _REFERENCE = {}
 
 
 def _case_id(case):
-    name, objective, gamma = case
-    return f"{name}-{objective.value}-{gamma:g}"
+    # the objective named as ts-fit prints it
+    name, gamma = case
+    return f"{name}-{'focal' if gamma else 'nll'}-{gamma:g}"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", _CASES, ids=_case_id)
 class TestFitAgainstReference:
     def _fit_and_reference(self, case):
-        name, objective, gamma = case
+        name, gamma = case
         preds, where = _CORPUS[name]
         if case not in _REFERENCE:
-            g = 0.0 if objective is Objective.NLL else gamma
-            _REFERENCE[case] = _golden_reference(preds, g)
-        return preds, where, fit_temperature(preds, objective, gamma), _REFERENCE[case]
+            _REFERENCE[case] = _golden_reference(preds, gamma)
+        return preds, where, fit_temperature(preds, gamma), _REFERENCE[case]
 
     def test_never_worse_than_reference(self, case):
         _, _, fit, (_, ref_achieved) = self._fit_and_reference(case)
@@ -234,7 +232,7 @@ class TestFitAgainstReference:
 
     def test_few_softmax_passes(self, case, monkeypatch):
         # golden section took 43 passes; bisection alone would take ~35
-        name, objective, gamma = case
+        name, gamma = case
         calls = []
         real = calibrate._temperature_pass
 
@@ -243,7 +241,7 @@ class TestFitAgainstReference:
             return real(*args)
 
         monkeypatch.setattr(calibrate, "_temperature_pass", counted)
-        fit_temperature(_CORPUS[name][0], objective, gamma)
+        fit_temperature(_CORPUS[name][0], gamma)
         assert len(calls) <= 12, calls
 
 
@@ -251,11 +249,11 @@ class TestFitAgainstReference:
 @pytest.mark.parametrize("case", _INTERIOR, ids=_case_id)
 def test_interior_fit_is_stationary(case):
     """The same test as the benchmark's: the slope changes sign at t (1 +- 1e-4)."""
-    name, objective, gamma = case
+    name, gamma = case
     preds = _CORPUS[name][0]
     logits = calibrate._as_logits(preds)
-    t = fit_temperature(preds, objective, gamma).temperature
-    if objective is Objective.NLL:
+    t = fit_temperature(preds, gamma).temperature
+    if gamma == 0.0:
         below = _nll_slope(logits, preds.labels, t * (1.0 - 1e-4))
         above = _nll_slope(logits, preds.labels, t * (1.0 + 1e-4))
         assert below < 0.0 < above

@@ -1,8 +1,14 @@
 """CLI surface: subcommands, exit codes, artifacts, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import focal_calib
 from focal_calib.cli import main
 
 CSV = "label,s1,s2,s3\n1,0.7,0.2,0.1\n2,0.3,0.5,0.2\n3,0.2,0.2,0.6\n1,0.4,0.35,0.25\n"
@@ -224,9 +230,21 @@ class TestTsFitCommand:
         assert achieved <= baseline
 
     def test_focal_objective(self, logits_csv, capsys):
-        code = main(["ts-fit", "--input", str(logits_csv), "--objective", "focal", "--gamma", "2"])
-        assert code == 0
+        assert main(["ts-fit", "--input", str(logits_csv), "--gamma", "2"]) == 0
         assert "objective=focal gamma=2" in capsys.readouterr().out
+
+    def test_gamma_selects_the_objective(self, logits_csv, capsys):
+        lines = []
+        for extra in ([], ["--gamma", "2"]):
+            assert main(["ts-fit", "--input", str(logits_csv), *extra]) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+        assert lines[0][1] == "objective=nll"
+        assert lines[0][0] != lines[1][0]
+
+    def test_objective_flag_is_a_usage_error(self, logits_csv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ts-fit", "--input", str(logits_csv), "--objective", "nll"])
+        assert info.value.code == 2
 
     def test_renormalize_global_flag(self, tmp_path, capsys):
         probs = tmp_path / "probs.csv"
@@ -409,3 +427,17 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli_mod, "run_verify", lambda **kw: failing)
         assert main(["verify"]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the benchmark's setup_s times this program; io imports multiprocessing
+    # only where it starts the worker pool, so that starting the CLI is cheap
+    program = (
+        "import sys; import focal_calib.cli as cli; cli.build_parser(); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(focal_calib.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
+    )
+    assert run.stdout.strip() == "False"

@@ -116,6 +116,17 @@ class TestBinReliability:
         with pytest.raises(DomainError):
             bin_reliability(preds, 10)
 
+    @pytest.mark.parametrize("metric", [bin_reliability, ece, cw_ece])
+    @pytest.mark.parametrize("n_bins", [0, 2.5, True, math.nan])
+    def test_bad_bin_counts_rejected(self, metric, n_bins):
+        with pytest.raises(DomainError):
+            metric(_preds([[0.7, 0.3], [0.2, 0.8]], [1, 2]), n_bins)
+
+    def test_integral_float_bin_count(self):
+        preds = _preds([[0.7, 0.3], [0.2, 0.8], [0.55, 0.45]], [1, 2, 2])
+        assert ece(preds, 4.0) == ece(preds, 4)
+        assert cw_ece(preds, 4.0) == cw_ece(preds, 4)
+
 
 class TestClasswiseEce:
     def test_hand_value_two_class(self):

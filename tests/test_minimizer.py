@@ -338,7 +338,15 @@ class TestConfidenceCurve:
         assert min(ms) > 1 / 3 and max(ms) < 1.0
         assert len(pairs) == 10
 
-    def test_rejects_bad_arguments(self):
-        for k, grid in ((1, 4), (3, 0)):
+    def test_rejects_bad_arguments(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before checking the arguments")
+
+        monkeypatch.setattr(minimizer, "minimize_risk_inverse", no_solve)
+        bad = (1, 2.5, True, float("nan"))
+        for k, grid in [(k, 4) for k in bad] + [(3, grid) for grid in (0, *bad[1:])]:
             with pytest.raises(DomainError):
                 confidence_curve(k, 2.0, grid_size=grid)
+
+    def test_integral_float_counts(self):
+        assert confidence_curve(3.0, 2.0, grid_size=4.0) == confidence_curve(3, 2.0, grid_size=4)

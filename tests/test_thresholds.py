@@ -17,6 +17,7 @@ from focal_calib import (
     recover_posterior,
     thresholds,
 )
+from focal_calib.thresholds import weight_curve
 
 GAMMAS = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
 
@@ -166,6 +167,11 @@ class TestWeightCurveShape:
         signs = np.sign(diffs[np.abs(diffs) > 1e-14 * np.abs(values).max()])
         assert int(np.count_nonzero(np.diff(signs))) == 1
         assert signs[0] > 0 and signs[-1] < 0
+
+    @pytest.mark.parametrize("grid_size", [0, 2.5, True, math.nan])
+    def test_weight_curve_rejects_bad_grid(self, grid_size):
+        with pytest.raises(DomainError):
+            weight_curve(2.0, grid_size)
 
     def test_direction_recovery_consistency(self):
         # in the guaranteed regions the full-vector comparison agrees with

@@ -80,6 +80,10 @@ class TestRunVerify:
             {"k_list": [True, 3]},
             {"k_list": [float("nan")]},
             {"k_list": [float("inf")]},
+            {"n_random": 0},
+            {"n_random": 2.5},
+            {"n_random": True},
+            {"n_random": float("nan")},
         ],
         ids=[
             "no_gamma",
@@ -92,6 +96,10 @@ class TestRunVerify:
             "bool_k",
             "nan_k",
             "inf_k",
+            "zero_n_random",
+            "fractional_n_random",
+            "bool_n_random",
+            "nan_n_random",
         ],
     )
     def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
