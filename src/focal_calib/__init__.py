@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
     SingularityError,
 )
-from .io import FileFormat, load_predictions, save_predictions
+from .io import FileFormat, load_predictions, save_predictions, transform_file
 from .metrics import (
     BinningReport,
     PredictionSet,
@@ -148,4 +148,5 @@ __all__ = [
     "softmax",
     "thresholds",
     "train_mlp",
+    "transform_file",
 ]

@@ -27,7 +27,7 @@ from .calibrate import (
 )
 from .core import require_count
 from .errors import CalibrationError, DomainError
-from .io import FileFormat, _atomic_writer, load_predictions, save_predictions, write_csv
+from .io import FileFormat, _atomic_writer, load_predictions, transform_file, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
 from .minimizer import confidence_curve
 from .plotting import emit_reliability_svg, emit_score_curves_svg
@@ -140,14 +140,25 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_transform(args) -> int:
     kind = _kind_arg(args.kind)
-    preds = load_predictions(args.input, _format_arg(args.format), kind, args.renormalize)
-    if args.temperature is not None:
-        preds = scale_dataset(preds, args.temperature)
-    elif kind is ScoreKind.LOGITS:
-        preds = scale_dataset(preds, 1.0)
-    if args.psi is not None:
-        preds = apply_psi_dataset(preds, args.psi)
-    save_predictions(preds, args.output, _format_arg(args.output_format))
+
+    def rows_fn(preds: PredictionSet) -> PredictionSet:
+        if args.temperature is not None:
+            preds = scale_dataset(preds, args.temperature)
+        elif kind is ScoreKind.LOGITS:
+            preds = scale_dataset(preds, 1.0)
+        if args.psi is not None:
+            preds = apply_psi_dataset(preds, args.psi)
+        return preds
+
+    transform_file(
+        args.input,
+        args.output,
+        rows_fn,
+        kind,
+        args.renormalize,
+        _format_arg(args.format),
+        _format_arg(args.output_format),
+    )
     print(f"wrote {args.output}")
     return EXIT_OK
 

@@ -22,10 +22,22 @@ the file and alone decides the result, so the accepted syntax, the
 errors and their line numbers are those of that parser.  Output is
 formatted a block of rows at a time, written in order to the temp file.
 
+``transform_file`` runs a whole row-wise transform on the same ranges:
+each range is parsed, checked, mapped and formatted in one job, and only
+its output bytes come back, written in order to the temp file.  So the
+caller never holds the ``(n, k)`` arrays.  Measured from a launcher
+with ``wait4``, a ``transform`` command's peak RSS fell from 76 to 36 MiB
+on a 41 MB CSV (k = 10), from 82 to 37 MiB on 39 MB of CSV logits written
+as JSONL, and from 83 to 36 MiB on a 70 MB JSONL (k = 1000).  When any
+range is refused, fails a check or disagrees on k, the temp file is
+dropped and the composed load, transform and save run instead, so they
+alone decide the errors and their lines.
+
 Parsing and formatting floats is single-threaded Python and numpy work
 (about 0.1-0.35 us per value), so from ``_POOL_MIN_BYTES`` (4 MiB) of
 input file, or of output values at 8 bytes each, the ranges or blocks
-run on a pool of forked processes, one per CPU the process may use.
+(or a transform's ranges, from 4 MiB of input) run on a pool of forked
+processes, one per CPU the process may use.
 The size is a measured break-even.  On 2 cores, with the pool against
 without it, a CSV (k = 10) or JSONL (k = 1000) load took 1.10x and 1.00x
 the time at 4 MiB, 0.91x and 0.86x at 6 MiB; a save took 0.80x at 2 MiB
@@ -73,7 +85,9 @@ _SPAN_BYTES = 1 << 20
 # or blocks run on a fork pool (see the module docstring)
 _POOL_MIN_BYTES = 1 << 22
 
-_job = None  # in a pool worker: the function its tasks are run through
+# in a pool worker: the function its tasks are run through, and a shared
+# flag the caller sets when it wants no more results
+_job = _stop = None
 
 
 def _pool_size(nbytes: int) -> int:
@@ -84,13 +98,13 @@ def _pool_size(nbytes: int) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _set_job(job) -> None:
-    global _job
-    _job = job
+def _set_job(job, stop) -> None:
+    global _job, _stop
+    _job, _stop = job, stop
 
 
 def _run_job(task):
-    return _job(*task)
+    return None if _stop.value else _job(*task)
 
 
 @contextlib.contextmanager
@@ -100,11 +114,21 @@ def _results(job, tasks: list[tuple], workers: int):
     With two or more workers and tasks, the tasks run on a pool of forked
     processes, which inherit ``job`` and the arrays it holds without
     pickling and start in milliseconds; a spawned worker would pay a whole
-    interpreter start (about 0.08 s).  Forking is safe here because the
-    workers only read files and parse or format text with modules already
-    imported, so they take no lock another thread of the caller may have
-    held at the fork.  A worker's exception is raised here when its result
-    is reached, and the pool's processes are gone once the block exits.
+    interpreter start (about 0.08 s), and could not take a transform's
+    ``rows_fn`` closure.  Forking is safe here because the workers only
+    read files, parse or format text and run numpy row arithmetic with
+    modules already imported, so they take no lock another thread of the
+    caller may have held at the fork.  A worker's exception is raised here
+    when its result is reached, and the pool's processes are gone once the
+    block exits.
+
+    A block that exits before it has read every result, by an exception
+    or a return, sets the shared stop flag, so the tasks not yet started
+    return None at once, and waits for the workers to finish.  Killing
+    them instead (``Pool.terminate``) can kill one that holds the lock on
+    the result pipe, and the pool's task thread then waits for that lock
+    forever.  Only an interrupt (``KeyboardInterrupt``, ``SystemExit``),
+    which may have stopped the workers too, still terminates the pool.
     """
     if workers < 2 or len(tasks) < 2:
         yield (job(*task) for task in tasks)
@@ -112,8 +136,17 @@ def _results(job, tasks: list[tuple], workers: int):
     import multiprocessing  # here: starting the CLI does not pay for it
 
     context = multiprocessing.get_context("fork")
-    with context.Pool(min(workers, len(tasks)), _set_job, (job,)) as pool:
+    stop = context.RawValue("b", 0)
+    pool = context.Pool(min(workers, len(tasks)), _set_job, (job, stop))
+    try:
         yield pool.imap(_run_job, tasks)
+    except (KeyboardInterrupt, SystemExit):
+        pool.terminate()
+        raise
+    finally:
+        stop.value = 1
+        pool.close()
+        pool.join()
 
 
 @contextlib.contextmanager
@@ -123,7 +156,12 @@ def _atomic_writer(path, mode: str = "w"):
     target = Path(path)
     tmp = target.with_name(f".{target.name}.tmp-{os.getpid()}")
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # the caller's file, not the temp file
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -208,20 +246,26 @@ def load_predictions(
     """
     fmt = file_format or detect_format(path)
     try:
-        scanned = _scan_csv(path) if fmt is FileFormat.CSV else _scan_jsonl(path)
+        parser = _body_parser(path, fmt)
+        scanned = None if parser is None else _scan(path, *parser)
     except UnicodeDecodeError:
         scanned = None  # the reference parser reports the byte's file offset
     if scanned is not None:
-        labels, scores = scanned
         try:
-            if kind is ScoreKind.PROBABILITIES and renormalize:
-                # a non-finite row would warn here; the set below rejects it
-                with np.errstate(invalid="ignore"):
-                    scores = _validate_rows(scores, None, True)
-            return PredictionSet(scores, labels, kind)
+            return _checked_set(*scanned, kind, renormalize)
         except CalibrationError:
             pass  # the line-by-line parser names the failing line
     return _load_by_line(path, fmt, kind, renormalize)
+
+
+def _checked_set(labels, scores, kind: ScoreKind, renormalize: bool) -> PredictionSet:
+    """The fast pass's rows as a set, with the checks and ``renormalize``
+    of the line-by-line parser but no line numbers."""
+    if kind is ScoreKind.PROBABILITIES and renormalize:
+        # a non-finite row would warn here; the set below rejects it
+        with np.errstate(invalid="ignore"):
+            scores = _validate_rows(scores, None, True)
+    return PredictionSet(scores, labels, kind)
 
 
 def _load_by_line(path, fmt: FileFormat, kind: ScoreKind, renormalize: bool) -> PredictionSet:
@@ -328,16 +372,21 @@ def _scan(path, body: int, job):
     return labels[:n], scores[:n]
 
 
-def _scan_csv(path):
-    """Labels and scores of a plain CSV file from ``np.loadtxt`` calls.
+def _body_parser(path, fmt: FileFormat):
+    """The byte offset of a file's body and the job that parses one byte
+    range of it, ``job(path, start, stop)``, or None for a CSV header the
+    line-by-line parser might read differently: quoted or odd, or ended by
+    a lone carriage return.
 
-    Returns None for any file the line-by-line parser might reject or read
-    differently: a quoted or odd header, a header with no rows, or a body
-    that ``loadtxt`` refuses (quoted fields, ``1_0`` or ``1.0`` labels,
-    whitespace-only, ``#`` or ragged lines).
-    Non-finite scores and labels out of range are left to the caller's
-    checks.
+    A CSV range is read by one ``np.loadtxt`` call, which refuses quoted
+    fields, ``1_0`` or ``1.0`` labels and whitespace-only, ``#`` or ragged
+    lines.  A JSONL line is taken only when it is an object whose only
+    strings are its two keys, with an ``int`` label and a list of ``k``
+    numbers.  A job gives None where it refuses its range.  Non-finite
+    scores and labels out of range are left to the caller's checks.
     """
+    if fmt is FileFormat.JSONL:
+        return 0, _jsonl_rows
     with open(path, newline="") as fh:
         header = fh.readline()
         body = fh.tell()
@@ -352,7 +401,7 @@ def _scan_csv(path):
     ):
         return None
     dtype = np.dtype([("label", np.int64), ("scores", np.float64, (k,))])
-    return _scan(path, body, functools.partial(_csv_rows, dtype))
+    return body, functools.partial(_csv_rows, dtype)
 
 
 def _csv_rows(dtype, path, start: int, stop: int):
@@ -366,18 +415,8 @@ def _csv_rows(dtype, path, start: int, stop: int):
             table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, UserWarning):
         return None
-    return table["label"], table["scores"]
-
-
-def _scan_jsonl(path):
-    """Labels and scores of a plain JSONL file, one decoded line at a time.
-
-    Returns None unless every non-blank line is an object whose only
-    strings are its two keys, with an ``int`` label and a list of ``k``
-    numbers.  Non-finite scores and labels out of range are left to the
-    caller's checks.
-    """
-    return _scan(path, 0, _jsonl_rows)
+    # contiguous, as the arrays of a whole file are
+    return np.ascontiguousarray(table["label"]), np.ascontiguousarray(table["scores"])
 
 
 def _jsonl_rows(path, start: int, stop: int):
@@ -482,6 +521,97 @@ def save_predictions(preds: PredictionSet, path, file_format: FileFormat | None 
             fh.write(b"\n")
 
 
+class _Declined(Exception):
+    """A file the per-range transform leaves to the composed one."""
+
+
+def transform_file(
+    src,
+    dst,
+    rows_fn,
+    kind: ScoreKind = ScoreKind.PROBABILITIES,
+    renormalize: bool = False,
+    in_fmt: FileFormat | None = None,
+    out_fmt: FileFormat | None = None,
+) -> None:
+    """Write ``rows_fn(load_predictions(src, ...))`` to ``dst`` as
+    :func:`save_predictions` would, one byte range at a time.
+
+    ``rows_fn`` maps a :class:`PredictionSet` to one of as many rows, each
+    output row a function of its input row alone.  Each range of ``src``
+    is parsed, checked, renormalized if asked, sent through ``rows_fn`` and
+    formatted in one job, on a fork pool when the file is large, and only
+    its output bytes come back to be written in order.  Where the fast
+    pass refuses a range, a check or ``rows_fn`` raises
+    ``CalibrationError`` or warns, two ranges disagree on k, or ``dst``
+    cannot be opened, the partial output is dropped and the composed
+    load, ``rows_fn`` and save run instead, so they alone decide the
+    errors, their lines and the warnings.
+    """
+    in_fmt = in_fmt or detect_format(src)
+    out_fmt = out_fmt or detect_format(dst)
+    try:
+        _transform_ranges(src, dst, rows_fn, kind, renormalize, in_fmt, out_fmt)
+        return
+    except (_Declined, UnicodeDecodeError):
+        pass
+    save_predictions(rows_fn(load_predictions(src, in_fmt, kind, renormalize)), dst, out_fmt)
+
+
+def _transform_ranges(src, dst, rows_fn, kind, renormalize, in_fmt, out_fmt) -> None:
+    parser = _body_parser(src, in_fmt)
+    if parser is None:
+        raise _Declined
+    body, parse = parser
+    emit = _csv_block if out_fmt is FileFormat.CSV else _jsonl_block
+    job = functools.partial(_transform_range, parse, rows_fn, kind, renormalize, emit)
+    size = os.path.getsize(src)
+    tasks = [(src, *span) for span in _spans(src, body, size)]
+    k = None
+    with _results(job, tasks, _pool_size(size)) as parts, contextlib.ExitStack() as stack:
+        # the pool forks before the temp file opens, so no worker holds it
+        try:
+            fh = stack.enter_context(_atomic_writer(dst, "wb"))
+        except OSError:
+            raise _Declined from None  # reported by the save, after any input error
+        for part in parts:
+            if part is None:
+                raise _Declined
+            part_k, block = part
+            if not block:
+                continue
+            if k is None:
+                k = part_k
+                if out_fmt is FileFormat.CSV:
+                    fh.write((",".join(_csv_header(k)) + "\n").encode())
+            elif part_k != k:
+                raise _Declined
+            fh.write(block)
+        if k is None:
+            raise _Declined  # no rows: the composed path names the error
+
+
+def _transform_range(parse, rows_fn, kind, renormalize, emit, path, start: int, stop: int):
+    """One byte range through the whole transform: its k and output bytes,
+    or None where the fast pass refuses it, a check fails or a warning is
+    raised (which the composed path then shows once, not once per range)."""
+    part = parse(path, start, stop)
+    if part is None:
+        return None
+    labels, scores = part
+    if len(labels) == 0:
+        return 0, b""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            preds = rows_fn(_checked_set(labels, scores, kind, renormalize))
+    except CalibrationError:
+        return None
+    if caught:
+        return None
+    return preds.k, emit(preds.labels, preds.scores, 0, preds.n)
+
+
 def _csv_block(labels, scores, start: int, stop: int) -> bytes:
     # "%.17g" is the text format(v, ".17g") gives; one % per block
     row_format = "%d," + ",".join(["%.17g"] * scores.shape[1]) + "\n"
@@ -490,9 +620,12 @@ def _csv_block(labels, scores, start: int, stop: int) -> bytes:
 
 
 def _jsonl_block(labels, scores, start: int, stop: int) -> bytes:
-    # json writes each float's shortest repr, which reads back exactly
+    # the text of json.dumps({"label": label, "scores": row}): a list of
+    # finite floats reprs as its JSON does, each float's shortest repr,
+    # which reads back exactly.  repr skips json's set-up per call, an
+    # eighth of the time at k = 10.
     return "".join(
-        json.dumps({"label": label, "scores": row}) + "\n"
+        f'{{"label": {label}, "scores": {row!r}}}\n'
         for label, row in zip(labels[start:stop].tolist(), scores[start:stop].tolist())
     ).encode()
 

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import focal_calib
+import focal_calib.io as fio
 from focal_calib.cli import main
 
 CSV = "label,s1,s2,s3\n1,0.7,0.2,0.1\n2,0.3,0.5,0.2\n3,0.2,0.2,0.6\n1,0.4,0.35,0.25\n"
@@ -217,6 +219,45 @@ class TestTransformCommand:
         with pytest.raises(SystemExit) as info:
             main(["transform", "--input", "x.csv"])  # missing --output
         assert info.value.code == 2
+
+    def test_unknown_output_suffix_fails_before_reading(
+        self, preds_csv, tmp_path, monkeypatch, capsys
+    ):
+        reader = mock.Mock(side_effect=AssertionError("the input was read"))
+        for name in ("_body_parser", "_load_by_line", "load_predictions"):
+            monkeypatch.setattr(fio, name, reader)
+        out = tmp_path / "out.txt"
+        assert main(["transform", "--input", str(preds_csv), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: cannot infer file format from suffix '.txt'; pass it explicitly\n"
+        )
+        reader.assert_not_called()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--input", "preds.csv", "--output", "nodir/o.csv"],
+        ["metrics", "--input", "preds.csv", "--csv-out", "nodir/r.csv", "--svg-out", "r.svg"],
+        ["thresholds", "--gamma", "2", "--curve-out", "nodir/w.csv"],
+    ],
+    ids=["transform", "metrics", "thresholds"],
+)
+def test_missing_output_directory_names_the_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("preds.csv").write_text(CSV)
+    assert main(argv) == 3
+    target = next(arg for arg in argv if arg.startswith("nodir/"))
+    assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: {target!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["preds.csv"]
+
+
+def test_input_error_is_reported_before_a_missing_output_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("label,s1,s2\n1,0.7,0.3\n1,0.5,0.3\n")
+    assert main(["transform", "--input", "bad.csv", "--output", "nodir/o.csv"]) == 3
+    assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
 class TestTsFitCommand:

@@ -4,9 +4,12 @@ import errno
 import io
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import tempfile
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import focal_calib.cli as cli
 import focal_calib.io as fio
 from focal_calib import (
     FileFormat,
@@ -24,6 +28,7 @@ from focal_calib import (
     ParseError,
     PredictionSet,
     ScoreKind,
+    apply_psi_dataset,
     bin_reliability,
     load_predictions,
     save_predictions,
@@ -390,7 +395,27 @@ def _fail_in_worker(*args):
     raise OSError(errno.EIO, f"I/O error in process {os.getpid()}")
 
 
+def _slow_task(marks, i):
+    (marks / str(i)).touch()
+    time.sleep(0.02)
+    return i
+
+
 class TestForkPool:
+    def test_early_exit_kills_no_worker(self, tmp_path, monkeypatch, pooled):
+        # a worker killed while it sends a result can leave the result
+        # pipe's lock held, and the pool's task thread then waits forever
+        killed = AssertionError("a pool was terminated")
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", mock.Mock(side_effect=killed))
+        tasks = [(tmp_path, i) for i in range(50)]
+        with pytest.raises(KeyError):
+            with fio._results(_slow_task, tasks, 3) as parts:
+                assert next(parts) == 0
+                raise KeyError
+        assert multiprocessing.active_children() == []
+        # the tasks not started when the block exited did not run
+        assert len(os.listdir(tmp_path)) < len(tasks)
+
     @pytest.mark.parametrize("fmt", list(FileFormat))
     def test_chunked_load_runs_on_a_fork_pool(self, tmp_path, monkeypatch, pooled, fmt):
         preds = _sample(40)
@@ -457,6 +482,168 @@ class TestForkPool:
             assert int(error.strerror.rsplit(" ", 1)[1]) != os.getpid()
         assert os.listdir(tmp_path) == [path.name]
         assert path.read_bytes() == old
+
+
+# argv before and after the subcommand, and whether the output takes the
+# other format
+TRANSFORM_MODES = {
+    "psi": ([], ["--psi", "2"], False),
+    "logits": ([], ["--kind", "logits", "--temperature", "1.7"], False),
+    "renormalize": (["--renormalize"], ["--psi", "2"], False),
+    "other_format": ([], ["--psi", "2"], True),
+}
+
+
+def _composed_transform(src, dst, rows_fn, kind, renormalize, in_fmt, out_fmt):
+    # the transform as one load, one rows_fn and one save
+    save_predictions(rows_fn(load_predictions(src, in_fmt, kind, renormalize)), dst, out_fmt)
+
+
+def _transform_outcome(capsys, tmp_path, src, out, argv):
+    """What ``main(argv)`` gives: exit code or exception, printed text and
+    output bytes; no temp file may be left behind."""
+    try:
+        result = cli.main(argv)
+    except Exception as exc:  # the reference may raise anything; compare it
+        result = (type(exc), str(exc))
+    printed = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    assert sorted(os.listdir(tmp_path)) == sorted([src.name] + [out.name] * (written is not None))
+    out.unlink(missing_ok=True)
+    return result, printed.out, printed.err, written
+
+
+def _transform_rows(preds):
+    return apply_psi_dataset(preds, 2.0)
+
+
+class TestTransformFile:
+    @pytest.mark.parametrize("fmt, text", _corpus_cases())
+    @pytest.mark.parametrize("mode", list(TRANSFORM_MODES))
+    def test_pooled_cli_matches_the_composition(
+        self, request, tmp_path, monkeypatch, capsys, fmt, text, mode
+    ):
+        before, after, swap = TRANSFORM_MODES[mode]
+        src = tmp_path / f"p.{fmt.value}"
+        src.write_bytes(text.encode(errors="surrogateescape"))
+        out_fmt = next(f for f in FileFormat if f is not fmt) if swap else fmt
+        out = tmp_path / f"out.{out_fmt.value}"
+        argv = before + ["transform", "--input", str(src), "--output", str(out)] + after
+        with monkeypatch.context() as m:
+            m.setattr(cli, "transform_file", _composed_transform)
+            expected = _transform_outcome(capsys, tmp_path, src, out, argv)
+        request.getfixturevalue("pooled")
+        assert _transform_outcome(capsys, tmp_path, src, out, argv) == expected
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_rows_fn_sees_the_arrays_of_a_load(self, tmp_path, fmt):
+        src = tmp_path / f"p.{fmt.value}"
+        save_predictions(_sample(40), src)
+        loaded = load_predictions(src)
+        seen = []
+
+        def rows_fn(preds):
+            seen.append(preds)
+            return preds
+
+        fio.transform_file(src, tmp_path / f"out.{fmt.value}", rows_fn)
+        (part,) = seen
+        for array, expected in ((part.scores, loaded.scores), (part.labels, loaded.labels)):
+            assert array.dtype == expected.dtype and array.flags.c_contiguous
+            assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in_process", "pool"])
+    def test_a_warning_is_shown_once(self, request, tmp_path, monkeypatch, pool):
+        monkeypatch.setattr(fio, "_SPAN_BYTES", 8)
+        if pool:
+            request.getfixturevalue("pooled")
+        src = tmp_path / "p.csv"
+        save_predictions(_sample(40), src)
+
+        def rows_fn(preds):
+            warnings.warn("row warning", RuntimeWarning)
+            return preds
+
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fio.transform_file(src, out, rows_fn)
+        assert [str(w.message) for w in caught] == ["row warning"]
+        assert out.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    def test_in_place_runs_by_range_on_the_pool(self, tmp_path, monkeypatch, pooled, fmt):
+        preds = _sample(40)
+        expected = tmp_path / f"expected.{fmt.value}"
+        save_predictions(apply_psi_dataset(preds, 2.0), expected)
+        path = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, path)
+        spy = _spy_on_pools(monkeypatch)
+        monkeypatch.setattr(fio, "load_predictions", mock.Mock(side_effect=AssertionError))
+        argv = ["transform", "--input", str(path), "--output", str(path), "--psi", "2"]
+        assert cli.main(argv) == 0
+        spy.assert_called_once_with("fork")
+        assert path.read_bytes() == expected.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == sorted([path.name, expected.name])
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            (FileFormat.CSV, H2 + "1,0.7,0.3\n" * 40 + "1,0.5,0.3\n" + "2,0.25,0.75\n" * 3),
+            (
+                FileFormat.JSONL,
+                '{"label": 1, "scores": [0.7, 0.3]}\n' * 40
+                + '{"label": 1, "scores": [0.5, 0.3]}\n'
+                + '{"label": 2, "scores": [0.25, 0.75]}\n' * 3,
+            ),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    def test_late_bad_row_keeps_the_old_output(
+        self, tmp_path, monkeypatch, capsys, pooled, fmt, text
+    ):
+        src = tmp_path / f"p.{fmt.value}"
+        src.write_text(text)
+        line = 42 if fmt is FileFormat.CSV else 41
+        with pytest.raises(InvalidSimplexError) as expected:
+            fio._load_by_line(src, fmt, ScoreKind.PROBABILITIES, False)
+        assert expected.value.line == line
+        out = tmp_path / f"out.{fmt.value}"
+        out.write_bytes(b"old\n")
+        writer = mock.Mock(wraps=fio._atomic_writer)
+        monkeypatch.setattr(fio, "_atomic_writer", writer)
+        argv = ["transform", "--input", str(src), "--output", str(out), "--psi", "2"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        # the ranges before the bad row were written to the temp file,
+        # which was dropped when the range with the bad row declined
+        writer.assert_called_once_with(str(out), "wb")
+        assert out.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([src.name, out.name])
+
+    @pytest.mark.parametrize("fmt", list(FileFormat))
+    @pytest.mark.parametrize("failing", ["read", "rows_fn", "emit"])
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, pooled, fmt, failing):
+        preds = _sample(40)
+        src = tmp_path / f"p.{fmt.value}"
+        save_predictions(preds, src)
+        out = tmp_path / f"out.{fmt.value}"
+        out.write_bytes(b"old\n")
+        rows_fn = _transform_rows
+        if failing == "read":
+            monkeypatch.setattr(fio, "_read_span", _fail_in_worker)
+        elif failing == "rows_fn":
+            rows_fn = _fail_in_worker
+        else:
+            emit = "_csv_block" if fmt is FileFormat.CSV else "_jsonl_block"
+            monkeypatch.setattr(fio, emit, _fail_in_worker)
+        with pytest.raises(OSError) as raised:
+            fio.transform_file(src, out, rows_fn)
+        error = raised.value
+        assert type(error) is OSError and error.errno == errno.EIO
+        assert int(error.strerror.rsplit(" ", 1)[1]) != os.getpid()
+        assert sorted(os.listdir(tmp_path)) == sorted([src.name, out.name])
+        assert out.read_bytes() == b"old\n"
 
 
 class TestReferenceParser:
