@@ -6,9 +6,12 @@ Two formats carry the same payload:
 * JSONL with one object ``{"label": int, "scores": [...]}`` per line.
 
 Labels are 1-based integers in ``[1..K]``.  Probability rows must sum to
-one within ``ROW_SUM_TOL`` (1e-6) unless renormalization is requested.  Numeric output
-uses 17 significant digits so a save/load round trip is lossless.  All
-writes go through a temp file and an atomic rename.
+one within ``ROW_SUM_TOL`` (1e-6) unless renormalization is requested.  CSV
+output writes each score as ``'%.17g'`` does (17 significant digits) and
+JSONL output as ``repr`` does (the shortest text that reads back to the
+same float), so a save/load round trip is lossless.  Both texts come from
+one array kernel, ``_floattext.rows``, byte for byte.  All writes go
+through a temp file and an atomic rename.
 
 A file is read by a fast pass over byte ranges of its body, each cut just
 after a ``\n`` byte: a CSV range in one ``np.loadtxt`` call, a JSONL range
@@ -41,7 +44,9 @@ processes, one per CPU the process may use.
 The size is a measured break-even.  On 2 cores, with the pool against
 without it, a CSV (k = 10) or JSONL (k = 1000) load took 1.10x and 1.00x
 the time at 4 MiB, 0.91x and 0.86x at 6 MiB; a save took 0.80x at 2 MiB
-of values (two blocks) and 0.67-0.77x at 4 MiB.
+of values (two blocks) and 0.67-0.77x at 4 MiB.  Those save figures
+predate ``_floattext``: with it a pooled save takes 0.95-1.07x at 4 MiB,
+1.10x at 8 MiB (k = 10) and 0.80x at 16 MiB (k = 1000).
 """
 
 from __future__ import annotations
@@ -613,21 +618,20 @@ def _transform_range(parse, rows_fn, kind, renormalize, emit, path, start: int, 
 
 
 def _csv_block(labels, scores, start: int, stop: int) -> bytes:
-    # "%.17g" is the text format(v, ".17g") gives; one % per block
-    row_format = "%d," + ",".join(["%.17g"] * scores.shape[1]) + "\n"
-    block = np.column_stack((labels[start:stop], scores[start:stop]))
-    return ((row_format * len(block)) % tuple(block.ravel().tolist())).encode()
+    # each value as "%.17g" formats it; imported on first use, so that
+    # starting the CLI does not load the kernel
+    from . import _floattext
+
+    return _floattext.rows(labels[start:stop], scores[start:stop], b"", b",", b",", b"\n", False)
 
 
 def _jsonl_block(labels, scores, start: int, stop: int) -> bytes:
-    # the text of json.dumps({"label": label, "scores": row}): a list of
-    # finite floats reprs as its JSON does, each float's shortest repr,
-    # which reads back exactly.  repr skips json's set-up per call, an
-    # eighth of the time at k = 10.
-    return "".join(
-        f'{{"label": {label}, "scores": {row!r}}}\n'
-        for label, row in zip(labels[start:stop].tolist(), scores[start:stop].tolist())
-    ).encode()
+    # the text of json.dumps({"label": label, "scores": row}): for finite
+    # floats, each value's shortest round-trip repr
+    from . import _floattext
+
+    head, mid = b'{"label": ', b', "scores": ['
+    return _floattext.rows(labels[start:stop], scores[start:stop], head, mid, b", ", b"]}\n", True)
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -92,11 +92,6 @@ class BinningReport:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def recompute_ece(self) -> float:
-        return float(
-            (self.counts * np.abs(self.accuracy - self.confidence)).sum() / self.counts.sum()
-        )
-
 
 def _require_probabilities(preds: PredictionSet) -> PredictionSet:
     if preds.kind is not ScoreKind.PROBABILITIES:

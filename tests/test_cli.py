@@ -472,13 +472,18 @@ class TestVerifyCommand:
 
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the benchmark's setup_s times this program; io imports multiprocessing
-    # only where it starts the worker pool, so that starting the CLI is cheap
+    # only where it starts the worker pool, and the float formatter only
+    # where it writes a prediction file, so that starting the CLI is cheap
     program = (
         "import sys; import focal_calib.cli as cli; cli.build_parser(); "
-        "print('multiprocessing' in sys.modules)"
+        "print('multiprocessing' in sys.modules, 'fractions' in sys.modules, "
+        "'focal_calib._floattext' in sys.modules); "
+        # nor does importing the formatter build its tables
+        "from focal_calib import _floattext; "
+        "print('fractions' in sys.modules, _floattext._tables.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(focal_calib.__file__).parents[1])}
     run = subprocess.run(
         [sys.executable, "-c", program], capture_output=True, text=True, check=True, env=env
     )
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split() == ["False", "False", "False", "False", "0"]
