@@ -38,7 +38,7 @@ import numpy as np
 
 from . import core
 from .core import SIMPLEX_TOL, require_count, require_gamma, validate_simplex_rows
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 _NEWTON_ITERS = 100        # cap on Newton steps per inverse solve
 _SUM_TOL = 1e-12           # |sum(q) - 1| a Newton row must reach
@@ -71,8 +71,8 @@ class RiskMinimizerResult:
     residual: float
 
 
-def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
-    """Solve ``log s_g(q_i) = log c + log eta_i``, ``sum(q) = 1`` per row.
+def _newton_rows(eta: np.ndarray, g: float, counts=1.0) -> tuple[np.ndarray, int, float]:
+    """Solve ``log s_g(q_i) = log c + log eta_i``, ``sum(counts * q) = 1`` per row.
 
     Rows need ``g > 0`` and at least two positive entries; entries with
     ``eta_i == 0`` get ``q_i == 0`` exactly.  The unknowns are the logits
@@ -94,10 +94,18 @@ def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
     step would move no ``q_i`` by more than ``_STEP_TOL``, well above the
     rounding noise of that step (about ``eps``) and well below what the
     round trip through the transform can see.
+
+    ``counts`` (broadcast against ``eta``, 1 by default) is a per-column
+    multiplicity: column ``j`` stands for ``counts_j`` classes sharing the
+    posterior ``eta_j``.  Since ``s_g`` is strictly increasing, equal
+    posteriors get equal scores, so such classes share one unknown; the
+    sum, the support size ``m``, the starting point and both sums of the
+    ``t`` step weight each entry by its count.  With the default every
+    weight is a multiply by exactly 1.
     """
     support = eta > 0.0
     log_eta = np.log(np.where(support, eta, 1.0))
-    m = support.sum(axis=1)
+    m = np.where(support, counts, 0.0).sum(axis=1)
     anchor = core._log_score(1.0 / m, g)
     t_lo = anchor - np.log(np.where(support, eta, 0.0).max(axis=1))
     t_hi = anchor - np.log(np.where(support, eta, np.inf).min(axis=1))
@@ -105,7 +113,7 @@ def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
     # solution's scaling as its smaller posterior goes to 0
     power = np.where(support, log_eta / (1.0 + g), -np.inf)
     power -= power.max(axis=1, keepdims=True)
-    log_q0 = power - np.log(np.exp(power).sum(axis=1, keepdims=True))
+    log_q0 = power - np.log((counts * np.exp(power)).sum(axis=1, keepdims=True))
     x = np.where(support, log_q0 - np.log1p(-np.exp(log_q0).clip(max=_Q_MAX)), 0.0)
     # the first step does not depend on t; starting inside the bracket
     # keeps every later t inside it
@@ -123,7 +131,7 @@ def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
         slope = om + g * q - g * q * (q - 1.0 - log_q) / (om + g * q * -log_q)
         r = np.where(sup, core._log_score(q, g) - ts[:, None] - log_eta[rows], 0.0)
         w = np.where(sup, q * om / slope, 0.0)
-        defect = np.where(sup, q, 0.0).sum(axis=1) - 1.0
+        defect = np.where(sup, counts * q, 0.0).sum(axis=1) - 1.0
         stationary = (w * np.abs(r)).max(axis=1) <= _STEP_TOL
         if steps == _NEWTON_ITERS:
             # a defect below the rounding of the sum cannot be reached; such
@@ -143,7 +151,8 @@ def _newton_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
         keep = ~done
         rows, sup, xs, ts = rows[keep], sup[keep], xs[keep], ts[keep]
         r, w, slope, defect = r[keep], w[keep], slope[keep], defect[keep]
-        t_new = ts + ((w * r).sum(axis=1) - defect) / w.sum(axis=1)
+        cw = counts * w
+        t_new = ts + ((cw * r).sum(axis=1) - defect) / cw.sum(axis=1)
         lo, hi = t_lo[rows], t_hi[rows]
         t_new = np.where(t_new < lo, 0.5 * (ts + lo), np.where(t_new > hi, 0.5 * (ts + hi), t_new))
         x[rows] = np.where(sup, xs + ((t_new - ts)[:, None] - r) / slope, 0.0)
@@ -323,16 +332,25 @@ def confidence_curve(k: int, gamma: float, grid_size: int = 100) -> list[tuple[f
 
     For each grid value ``m`` strictly inside ``(1/k, 1)`` the posterior is
     ``[m, (1-m)/(k-1), ...]`` (remaining mass spread uniformly) and the
-    returned pair is ``(m, max(q*))``; the whole grid is one call of
-    :func:`minimize_risk_inverse`.  With ``k == 2`` the curve lies below
-    the diagonal; for large ``k`` and small ``gamma`` it crosses above
-    near ``1/k``.
+    returned pair is ``(m, max(q*))``.  The minimizer gives the ``k - 1``
+    equal tail posteriors equal scores, so the whole grid is one Newton
+    solve of the ``(grid_size, 2)`` stack of top and tail values with the
+    tail counted ``k - 1`` times; time and memory do not grow with ``k``.
+    ``gamma == 0`` returns the grid itself.  ``k`` is at most ``10**15``:
+    from about ``4e15`` classes on, every entry of the starting point can
+    be so small that the solver's stop, an absolute move of ``q``, passes
+    rows that are far from stationary.  With ``k == 2`` the curve lies
+    below the diagonal; for large ``k`` and small ``gamma`` it crosses
+    above near ``1/k``.
     """
     k = require_count(k, "k", 2, "classes")
+    if k > 10**15:
+        raise DomainError(f"need k <= 10**15 classes, got {k}")
     grid_size = require_count(grid_size, "grid_size", 1)
     g = require_gamma(gamma)
     tops = 1.0 / k + (np.arange(1, grid_size + 1) / (grid_size + 1.0)) * (1.0 - 1.0 / k)
-    etas = np.repeat(((1.0 - tops) / (k - 1))[:, None], k, axis=1)
-    etas[:, 0] = tops
-    q_top = minimize_risk_inverse(etas, g).q_star.max(axis=1)
+    q_top = tops
+    if g > 0.0:
+        etas = np.column_stack([tops, (1.0 - tops) / (k - 1)])
+        q_top = _newton_rows(etas, g, np.array([1.0, k - 1.0]))[0][:, 0]
     return list(zip(tops.tolist(), q_top.tolist()))

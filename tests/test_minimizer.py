@@ -1,5 +1,6 @@
 """Risk minimizer: inverse solver, mirror-descent oracle, curve."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -315,7 +316,94 @@ class TestMirrorDescentProperties:
         assert np.abs(stack.q_star - minimize_risk_inverse(etas, gamma).q_star).max() < 1e-5
 
 
+_COLLAPSED_ROWS = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(
+        st.lists(
+            st.lists(st.floats(1e-6, 1.0), min_size=d, max_size=d, unique=True),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(1, 50), min_size=d, max_size=d),
+    )
+)
+
+
+class TestMultiplicities:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_COLLAPSED_ROWS, gamma=st.sampled_from([0.5, 2.0, 5.0, 100.0]))
+    def test_collapsed_rows_match_expanded(self, drawn, gamma):
+        values, counts = np.array(drawn[0]), np.array(drawn[1], dtype=float)
+        etas = values / (values * counts).sum(axis=1, keepdims=True)
+        expanded = np.repeat(etas, drawn[1], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q, _, residual = minimizer._newton_rows(etas, gamma, counts)
+            full = minimize_risk_inverse(expanded, gamma).q_star
+        assert np.abs(np.repeat(q, drawn[1], axis=1) - full).max() <= 1e-13
+        assert np.abs((counts * q).sum(axis=1) - 1.0).max() <= 1e-12
+        assert residual <= 1e-12
+
+    def test_default_count_is_one(self):
+        etas = np.random.default_rng(5).dirichlet(np.ones(5), size=20)
+        plain = minimizer._newton_rows(etas, 2.0)
+        counted = minimizer._newton_rows(etas, 2.0, np.ones(5))
+        np.testing.assert_array_equal(plain[0], counted[0])
+        assert plain[1:] == counted[1:]
+
+
+def _full_width_curve(k, gamma, grid_size):
+    # the curve solved on the whole (grid, k) stack of uniform-tail posteriors
+    tops = 1.0 / k + (np.arange(1, grid_size + 1) / (grid_size + 1.0)) * (1.0 - 1.0 / k)
+    etas = np.repeat(((1.0 - tops) / (k - 1))[:, None], k, axis=1)
+    etas[:, 0] = tops
+    return tops, minimize_risk_inverse(etas, gamma).q_star.max(axis=1)
+
+
+def _assert_stationary_curve(m, top, k, gamma):
+    # the top and each tail entry share one level log eta_i + log(w_g(q_i) / q_i)
+    level_top = np.log(m) + _log_focal_slope(top, gamma)
+    level_tail = np.log((1.0 - m) / (k - 1)) + _log_focal_slope((1.0 - top) / (k - 1), gamma)
+    assert np.abs(level_top - level_tail).max() < 1e-6
+    assert np.all(np.diff(top) > 0.0)
+
+
 class TestConfidenceCurve:
+    @pytest.mark.parametrize("k", [2, 3, 10, 1000])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 5.0, 1000.0])
+    def test_matches_full_width_solve(self, k, gamma):
+        m, top = np.array(confidence_curve(k, gamma, grid_size=100)).T
+        tops, full = _full_width_curve(k, gamma, 100)
+        np.testing.assert_array_equal(m, tops)
+        if k == 2 or gamma == 0.0:
+            np.testing.assert_array_equal(top, full)
+        else:
+            assert np.abs(top - full).max() <= 1e-14
+
+    def test_memory_does_not_grow_with_k(self):
+        tracemalloc.start()
+        try:
+            confidence_curve(20_000, 2.0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("gamma", [1e-8, 0.5, 2.0, 100.0, 1e6])
+    def test_stationary_up_to_the_largest_k(self, gamma):
+        k = 10**15
+        m, top = np.array(confidence_curve(k, gamma, grid_size=1000)).T
+        _assert_stationary_curve(m, top, k, gamma)
+
+    def test_cli_at_a_trillion_classes(self, tmp_path):
+        k, gamma = 10**12, 0.5
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curve", "--k", str(k), "--gamma", str(gamma), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (100, 2)
+        _assert_stationary_curve(data[:, 0], data[:, 1], k, gamma)
+
     def test_binary_curve_below_diagonal(self):
         for m, q in confidence_curve(2, 1.0, grid_size=25):
             assert 0.5 < m < 1.0
@@ -343,8 +431,10 @@ class TestConfidenceCurve:
             raise AssertionError("solved before checking the arguments")
 
         monkeypatch.setattr(minimizer, "minimize_risk_inverse", no_solve)
+        monkeypatch.setattr(minimizer, "_newton_rows", no_solve)
         bad = (1, 2.5, True, float("nan"))
-        for k, grid in [(k, 4) for k in bad] + [(3, grid) for grid in (0, *bad[1:])]:
+        bad_k = (*bad, 10**15 + 1, 1e16)
+        for k, grid in [(k, 4) for k in bad_k] + [(3, grid) for grid in (0, *bad[1:])]:
             with pytest.raises(DomainError):
                 confidence_curve(k, 2.0, grid_size=grid)
 
