@@ -72,14 +72,19 @@ def require_gamma(gamma: float) -> float:
 def require_count(value, name: str, minimum: int, unit: str = "") -> int:
     """Validate a count argument, such as a class or grid size; return an int.
 
-    A count is a whole number, not a bool, of at least ``minimum``.  An
-    integral float such as ``3.0`` is one, as for PredictionSet's labels;
-    a fraction or a non-finite value is not.  ``unit`` words the messages.
+    A count is a whole number, not a bool, from ``minimum`` up to the
+    largest size a numpy array can take.  An integral float such as ``3.0``
+    is one, as for PredictionSet's labels; a fraction or a non-finite value
+    is not.  ``unit`` words the messages.
     """
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value == int(value)):
+    # an int is never converted to a float, which it may overflow
+    whole = isinstance(value, int) or math.isfinite(value) and value == int(value)
+    if isinstance(value, (bool, np.bool_)) or not whole:
         raise DomainError(f"{name} must be a whole number{unit and ' of ' + unit}, got {value!r}")
-    if value < minimum:
-        bound = f"need {name} >= {minimum} {unit}" if unit else f"{name} must be >= {minimum}"
+    largest = int(np.iinfo(np.intp).max)
+    if not minimum <= value <= largest:
+        op, limit = (">=", minimum) if value < minimum else ("<=", largest)
+        bound = f"need {name} {op} {limit} {unit}" if unit else f"{name} must be {op} {limit}"
         raise DomainError(f"{bound}, got {value}")
     return int(value)
 

@@ -13,40 +13,38 @@ same float), so a save/load round trip is lossless.  Both texts come from
 one array kernel, ``_floattext.rows``, byte for byte.  All writes go
 through a temp file and an atomic rename.
 
-A file is read by a fast pass over byte ranges of its body, each cut just
-after a ``\n`` byte: a CSV range in one ``np.loadtxt`` call, a JSONL range
-one decoded line at a time.  The ranges' rows are copied, in order, into
-one preallocated ``(n, k)`` array and checked once, by ``PredictionSet``.
+A file is read by a fast pass over byte ranges of its body, each cut
+just after a ``\n`` byte: a CSV range in one ``np.loadtxt`` call, a JSONL
+range one decoded line at a time.  One ordered driver, ``_ranges``, runs
+one job on every range: the range is parsed, renormalized if asked and
+handed to a ``finish`` function, which gives its k and its part, and the
+driver checks that the ranges agree on k.  ``load_predictions`` copies
+the parts' rows, in order, into one preallocated ``(n, k)`` array, which
+it checks once, by ``PredictionSet``.  ``transform_file`` builds, maps
+and formats a set per range, and only the output bytes come back, written
+in order to a temp file.  So the caller never holds the ``(n, k)``
+arrays: measured from a launcher with ``wait4``, a ``transform``
+command's peak RSS fell from 76 to 36 MiB on a 41 MB CSV (k = 10), from
+82 to 37 MiB on 39 MB of CSV logits written as JSONL, and from 83 to
+36 MiB on a 70 MB JSONL (k = 1000).
+
 The pass accepts only plain rows (unquoted CSV fields, integer labels,
 finite scores, no blank-looking or comment lines, JSONL objects whose
 only strings are the two keys).  On anything else, when two ranges
-disagree on k, or when a check fails, the line-by-line parser re-reads
-the file and alone decides the result, so the accepted syntax, the
-errors and their line numbers are those of that parser.  Output is
-formatted a block of rows at a time, written in order to the temp file.
+disagree on k, or when a check fails or warns, it declines: the
+line-by-line parser re-reads the file (a transform runs the composed
+load, transform and save instead) and alone decides the result, so the
+accepted syntax, the errors, their line numbers and the warnings are
+those of that parser.
 
-``transform_file`` runs a whole row-wise transform on the same ranges:
-each range is parsed, checked, mapped and formatted in one job, and only
-its output bytes come back, written in order to the temp file.  So the
-caller never holds the ``(n, k)`` arrays.  Measured from a launcher
-with ``wait4``, a ``transform`` command's peak RSS fell from 76 to 36 MiB
-on a 41 MB CSV (k = 10), from 82 to 37 MiB on 39 MB of CSV logits written
-as JSONL, and from 83 to 36 MiB on a 70 MB JSONL (k = 1000).  When any
-range is refused, fails a check or disagrees on k, the temp file is
-dropped and the composed load, transform and save run instead, so they
-alone decide the errors and their lines.
-
-Parsing and formatting floats is single-threaded Python and numpy work
-(about 0.1-0.35 us per value), so from ``_POOL_MIN_BYTES`` (4 MiB) of
-input file, or of output values at 8 bytes each, the ranges or blocks
-(or a transform's ranges, from 4 MiB of input) run on a pool of forked
-processes, one per CPU the process may use.
-The size is a measured break-even.  On 2 cores, with the pool against
-without it, a CSV (k = 10) or JSONL (k = 1000) load took 1.10x and 1.00x
-the time at 4 MiB, 0.91x and 0.86x at 6 MiB; a save took 0.80x at 2 MiB
-of values (two blocks) and 0.67-0.77x at 4 MiB.  Those save figures
-predate ``_floattext``: with it a pooled save takes 0.95-1.07x at 4 MiB,
-1.10x at 8 MiB (k = 10) and 0.80x at 16 MiB (k = 1000).
+Parsing floats is single-threaded Python and numpy work (about
+0.1-0.35 us per value), so from ``_POOL_MIN_BYTES`` (4 MiB) of input file
+the ranges run on a pool of forked processes, one per CPU the process
+may use.  The size is a measured break-even: on 2 cores, with the pool
+against without it, a CSV (k = 10) or JSONL (k = 1000) load took 1.10x
+and 1.00x the time at 4 MiB, 0.91x and 0.86x at 6 MiB.  A save formats
+its output a block of rows at a time in the caller's process, written in
+order to the temp file.
 """
 
 from __future__ import annotations
@@ -86,8 +84,8 @@ def detect_format(path) -> FileFormat:
 _BLOCK_VALUES = 1 << 17
 # bytes per range a prediction file's body is read in
 _SPAN_BYTES = 1 << 20
-# input-file bytes, or output bytes at 8 per value, from which the ranges
-# or blocks run on a fork pool (see the module docstring)
+# input-file bytes from which the ranges run on a fork pool (see the
+# module docstring)
 _POOL_MIN_BYTES = 1 << 22
 
 # in a pool worker: the function its tasks are run through, and a shared
@@ -95,10 +93,10 @@ _POOL_MIN_BYTES = 1 << 22
 _job = _stop = None
 
 
-def _pool_size(nbytes: int) -> int:
-    """Processes to parse or format ``nbytes`` with: one per CPU this
-    process may run on from ``_POOL_MIN_BYTES`` up, else 1 (no pool)."""
-    if nbytes < _POOL_MIN_BYTES or not hasattr(os, "sched_getaffinity"):
+def _pool_size(size: int) -> int:
+    """Processes to read an input file of ``size`` bytes with: one per CPU
+    this process may run on from ``_POOL_MIN_BYTES`` up, else 1 (no pool)."""
+    if size < _POOL_MIN_BYTES or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -250,27 +248,29 @@ def load_predictions(
     error and its line.
     """
     fmt = file_format or detect_format(path)
+    job = functools.partial(_range_job, _rows, kind, renormalize)
     try:
-        parser = _body_parser(path, fmt)
-        scanned = None if parser is None else _scan(path, *parser)
-    except UnicodeDecodeError:
-        scanned = None  # the reference parser reports the byte's file offset
-    if scanned is not None:
-        try:
-            return _checked_set(*scanned, kind, renormalize)
-        except CalibrationError:
-            pass  # the line-by-line parser names the failing line
-    return _load_by_line(path, fmt, kind, renormalize)
-
-
-def _checked_set(labels, scores, kind: ScoreKind, renormalize: bool) -> PredictionSet:
-    """The fast pass's rows as a set, with the checks and ``renormalize``
-    of the line-by-line parser but no line numbers."""
-    if kind is ScoreKind.PROBABILITIES and renormalize:
-        # a non-finite row would warn here; the set below rejects it
-        with np.errstate(invalid="ignore"):
-            scores = _validate_rows(scores, None, True)
-    return PredictionSet(scores, labels, kind)
+        with _ranges(path, fmt, job) as parts:
+            # counted while any pool workers parse: at least the file's rows
+            with open(path, "rb") as fh:
+                n_max = 1 + sum(_line_ends(block) for block in iter(lambda: fh.read(1 << 20), b""))
+            labels = np.empty(n_max, dtype=np.int64)
+            scores = None
+            n = 0
+            for k, (part_labels, part_scores) in parts:
+                if scores is None:
+                    scores = np.empty((n_max, k))
+                m = len(part_labels)
+                labels[n : n + m] = part_labels
+                scores[n : n + m] = part_scores
+                n += m
+            try:
+                return PredictionSet(scores[:n], labels[:n], kind)
+            except CalibrationError:
+                raise _Declined from None  # the line-by-line parser names the line
+    except (_Declined, UnicodeDecodeError):
+        # the line-by-line parser also reports a bad byte's file offset
+        return _load_by_line(path, fmt, kind, renormalize)
 
 
 def _load_by_line(path, fmt: FileFormat, kind: ScoreKind, renormalize: bool) -> PredictionSet:
@@ -341,53 +341,84 @@ def _span_text(data: bytes):
     return _io.TextIOWrapper(_io.BytesIO(data), newline="")
 
 
-def _scan(path, body: int, job):
-    """Labels and scores of a file body from ``job(path, start, stop)`` on
-    byte ranges of it, or None if a range gives None or two disagree on k.
+class _Declined(Exception):
+    """A file the fast pass leaves to the line-by-line parser."""
 
-    The ranges run on a fork pool when the file is large; their rows are
-    copied in order into one array sized by the body's line ends.
+
+@contextlib.contextmanager
+def _ranges(path, fmt: FileFormat, job):
+    """An iterator over ``(k, part)`` from ``job(parse, path, start, stop)``
+    for each byte range of a file body that has rows, in order, on a fork
+    pool when the file is large.  It raises ``_Declined`` for a header
+    ``_body_parser`` refuses, a range ``job`` refuses, two ranges that
+    disagree on k and, once the ranges are spent, a body without rows.
     """
+    parser = _body_parser(path, fmt)
+    if parser is None:
+        raise _Declined
+    body, parse = parser
     size = os.path.getsize(path)
     tasks = [(path, *span) for span in _spans(path, body, size)]
-    labels = scores = None
-    n = 0
-    with _results(job, tasks, _pool_size(size)) as parts:
-        # counted while any pool workers parse
-        with open(path, "rb") as fh:
-            fh.seek(body)
-            n_max = 1 + sum(_line_ends(block) for block in iter(lambda: fh.read(1 << 20), b""))
-        for part in parts:
-            if part is None:
-                return None
-            part_labels, part_scores = part
-            m = len(part_labels)
-            if m == 0:
-                continue
-            if scores is None:
-                labels = np.empty(n_max, dtype=np.int64)
-                scores = np.empty((n_max, part_scores.shape[1]))
-            elif part_scores.shape[1] != scores.shape[1]:
-                return None
-            labels[n : n + m] = part_labels
-            scores[n : n + m] = part_scores
-            n += m
-    if n == 0:
+    with _results(functools.partial(job, parse), tasks, _pool_size(size)) as parts:
+        yield _agreeing(parts)
+
+
+def _agreeing(parts):
+    k = None
+    for part in parts:
+        if part is None:
+            raise _Declined
+        if part[0] == 0:
+            continue
+        if k is None:
+            k = part[0]
+        elif part[0] != k:
+            raise _Declined
+        yield part
+    if k is None:
+        raise _Declined  # no rows: the line-by-line parser names the error
+
+
+def _range_job(finish, kind: ScoreKind, renormalize: bool, parse, path, start: int, stop: int):
+    """``finish(labels, scores)``, which gives ``(k, part)``, on the rows of
+    one byte range, renormalized if asked; ``(0, None)`` for a range without
+    rows, and None where ``parse`` refuses the range or a check or
+    ``finish`` raises ``CalibrationError`` or warns.  The line-by-line
+    parser then decides the error and shows a warning once, not per range.
+    """
+    rows = parse(path, start, stop)
+    if rows is None:
         return None
-    return labels[:n], scores[:n]
+    labels, scores = rows
+    if len(labels) == 0:
+        return 0, None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if kind is ScoreKind.PROBABILITIES and renormalize:
+                scores = _validate_rows(scores, None, True)
+            part = finish(labels, scores)
+    except CalibrationError:
+        return None
+    return None if caught else part
+
+
+def _rows(labels, scores):
+    # a load's part: the range's rows, checked once they are all read
+    return scores.shape[1], (labels, scores)
 
 
 def _body_parser(path, fmt: FileFormat):
-    """The byte offset of a file's body and the job that parses one byte
-    range of it, ``job(path, start, stop)``, or None for a CSV header the
-    line-by-line parser might read differently: quoted or odd, or ended by
-    a lone carriage return.
+    """The byte offset of a file's body and the function that parses one
+    byte range of it, ``parse(path, start, stop)``, or None for a CSV
+    header the line-by-line parser might read differently: quoted or odd,
+    or ended by a lone carriage return.
 
     A CSV range is read by one ``np.loadtxt`` call, which refuses quoted
     fields, ``1_0`` or ``1.0`` labels and whitespace-only, ``#`` or ragged
     lines.  A JSONL line is taken only when it is an object whose only
     strings are its two keys, with an ``int`` label and a list of ``k``
-    numbers.  A job gives None where it refuses its range.  Non-finite
+    numbers.  ``parse`` gives None where it refuses its range.  Non-finite
     scores and labels out of range are left to the caller's checks.
     """
     if fmt is FileFormat.JSONL:
@@ -514,20 +545,14 @@ def save_predictions(preds: PredictionSet, path, file_format: FileFormat | None 
     fmt = file_format or detect_format(path)
     n, k = preds.n, preds.k
     step = max(1, _BLOCK_VALUES // k)
-    blocks = [(start, start + step) for start in range(0, n, step)]
     emit = _csv_block if fmt is FileFormat.CSV else _jsonl_block
-    job = functools.partial(emit, preds.labels, preds.scores)
-    # the pool forks before the temp file opens, so no worker holds it
-    with _results(job, blocks, _pool_size(n * k * 8)) as texts, _atomic_writer(path, "wb") as fh:
+    with _atomic_writer(path, "wb") as fh:
         if fmt is FileFormat.CSV:
             fh.write((",".join(_csv_header(k)) + "\n").encode())
-        fh.writelines(texts)
+        for start in range(0, n, step):
+            fh.write(emit(preds.labels[start : start + step], preds.scores[start : start + step]))
         if fmt is FileFormat.JSONL and n == 0:
             fh.write(b"\n")
-
-
-class _Declined(Exception):
-    """A file the per-range transform leaves to the composed one."""
 
 
 def transform_file(
@@ -544,94 +569,58 @@ def transform_file(
 
     ``rows_fn`` maps a :class:`PredictionSet` to one of as many rows, each
     output row a function of its input row alone.  Each range of ``src``
-    is parsed, checked, renormalized if asked, sent through ``rows_fn`` and
+    is parsed, renormalized if asked, checked, sent through ``rows_fn`` and
     formatted in one job, on a fork pool when the file is large, and only
     its output bytes come back to be written in order.  Where the fast
-    pass refuses a range, a check or ``rows_fn`` raises
-    ``CalibrationError`` or warns, two ranges disagree on k, or ``dst``
-    cannot be opened, the partial output is dropped and the composed
-    load, ``rows_fn`` and save run instead, so they alone decide the
-    errors, their lines and the warnings.
+    pass declines the file (a refused range, a check or ``rows_fn`` that
+    raises ``CalibrationError`` or warns, ranges that disagree on k) or
+    ``dst`` cannot be opened, the partial output is dropped and the
+    composed load, ``rows_fn`` and save run instead, so they alone decide
+    the errors, their lines and the warnings.
     """
     in_fmt = in_fmt or detect_format(src)
     out_fmt = out_fmt or detect_format(dst)
+    emit = _csv_block if out_fmt is FileFormat.CSV else _jsonl_block
+    finish = functools.partial(_transformed, rows_fn, kind, emit)
+    job = functools.partial(_range_job, finish, kind, renormalize)
     try:
-        _transform_ranges(src, dst, rows_fn, kind, renormalize, in_fmt, out_fmt)
+        with _ranges(src, in_fmt, job) as parts, contextlib.ExitStack() as stack:
+            # the pool forks before the temp file opens, so no worker holds it
+            try:
+                fh = stack.enter_context(_atomic_writer(dst, "wb"))
+            except OSError:
+                raise _Declined from None  # reported by the save, after any input error
+            for i, (k, block) in enumerate(parts):
+                if i == 0 and out_fmt is FileFormat.CSV:
+                    fh.write((",".join(_csv_header(k)) + "\n").encode())
+                fh.write(block)
         return
     except (_Declined, UnicodeDecodeError):
         pass
     save_predictions(rows_fn(load_predictions(src, in_fmt, kind, renormalize)), dst, out_fmt)
 
 
-def _transform_ranges(src, dst, rows_fn, kind, renormalize, in_fmt, out_fmt) -> None:
-    parser = _body_parser(src, in_fmt)
-    if parser is None:
-        raise _Declined
-    body, parse = parser
-    emit = _csv_block if out_fmt is FileFormat.CSV else _jsonl_block
-    job = functools.partial(_transform_range, parse, rows_fn, kind, renormalize, emit)
-    size = os.path.getsize(src)
-    tasks = [(src, *span) for span in _spans(src, body, size)]
-    k = None
-    with _results(job, tasks, _pool_size(size)) as parts, contextlib.ExitStack() as stack:
-        # the pool forks before the temp file opens, so no worker holds it
-        try:
-            fh = stack.enter_context(_atomic_writer(dst, "wb"))
-        except OSError:
-            raise _Declined from None  # reported by the save, after any input error
-        for part in parts:
-            if part is None:
-                raise _Declined
-            part_k, block = part
-            if not block:
-                continue
-            if k is None:
-                k = part_k
-                if out_fmt is FileFormat.CSV:
-                    fh.write((",".join(_csv_header(k)) + "\n").encode())
-            elif part_k != k:
-                raise _Declined
-            fh.write(block)
-        if k is None:
-            raise _Declined  # no rows: the composed path names the error
+def _transformed(rows_fn, kind: ScoreKind, emit, labels, scores):
+    # a transform's part: the range's rows as a set, through rows_fn, as text
+    preds = rows_fn(PredictionSet(scores, labels, kind))
+    return preds.k, emit(preds.labels, preds.scores)
 
 
-def _transform_range(parse, rows_fn, kind, renormalize, emit, path, start: int, stop: int):
-    """One byte range through the whole transform: its k and output bytes,
-    or None where the fast pass refuses it, a check fails or a warning is
-    raised (which the composed path then shows once, not once per range)."""
-    part = parse(path, start, stop)
-    if part is None:
-        return None
-    labels, scores = part
-    if len(labels) == 0:
-        return 0, b""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            preds = rows_fn(_checked_set(labels, scores, kind, renormalize))
-    except CalibrationError:
-        return None
-    if caught:
-        return None
-    return preds.k, emit(preds.labels, preds.scores, 0, preds.n)
-
-
-def _csv_block(labels, scores, start: int, stop: int) -> bytes:
+def _csv_block(labels, scores) -> bytes:
     # each value as "%.17g" formats it; imported on first use, so that
     # starting the CLI does not load the kernel
     from . import _floattext
 
-    return _floattext.rows(labels[start:stop], scores[start:stop], b"", b",", b",", b"\n", False)
+    return _floattext.rows(labels, scores, b"", b",", b",", b"\n", False)
 
 
-def _jsonl_block(labels, scores, start: int, stop: int) -> bytes:
+def _jsonl_block(labels, scores) -> bytes:
     # the text of json.dumps({"label": label, "scores": row}): for finite
     # floats, each value's shortest round-trip repr
     from . import _floattext
 
     head, mid = b'{"label": ', b', "scores": ['
-    return _floattext.rows(labels[start:stop], scores[start:stop], head, mid, b", ", b"]}\n", True)
+    return _floattext.rows(labels, scores, head, mid, b", ", b"]}\n", True)
 
 
 def write_csv(path, header: list[str], rows) -> None:

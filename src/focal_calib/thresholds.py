@@ -20,7 +20,7 @@ bisection on a sign.  ``tau_oc`` is where the closed-form slope
 turns negative on (0, 0.5); only its bracket is evaluated, so the sign
 survives where ``(1 - v)^g`` underflows.  ``tau_uc`` is where the log
 weight kernel ``core._log_weight`` turns negative on [tau_oc, 0.5].
-Each is bisected to a fixed bracket, and results are memoized per ``gamma``.
+Each is bisected to adjacent floats, and results are memoized per ``gamma``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from . import core
 from .core import as_simplex, confidence_weight, recover_posterior, require_count, require_gamma
 from .errors import DegenerateError, DomainError
 
-_BRACKET = 1e-13
 _DIRECTION_EPS = 1e-12
 
 
@@ -63,23 +62,24 @@ class ThresholdPair:
 
 def _bisect(positive, lo: float, hi: float) -> float:
     # the point in [lo, hi] where positive(v) turns False, given that it
-    # holds just above lo and fails at hi.  Inside [0, 0.5] doubles are at
-    # most 5.6e-17 apart, so a bracket wider than _BRACKET always has a
-    # float strictly inside it.
-    while hi - lo > _BRACKET:
+    # holds just above lo and fails at hi, bisected until no float lies
+    # strictly between the ends: a fixed width would be wider than the
+    # thresholds themselves at large gamma
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         if positive(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=256)
 def thresholds(gamma: float) -> ThresholdPair:
     """Both thresholds for ``gamma``, memoized.
 
-    Each is bisected to a bracket of width 1e-13.  ``tau_oc`` needs a
+    Each is bisected to adjacent floats.  ``tau_oc`` needs a
     sign change of the slope of the weight curve on (0, 0.5); ``tau_uc``
     one of ``weight - 1`` on [tau_oc, 0.5], where the weight exceeds 1 at
     the maximizer and is below 1 at 0.5.

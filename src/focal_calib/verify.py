@@ -296,14 +296,17 @@ def run_verify(
     oracle solves the first ``max(20, n_random // 4)`` of them.  Raises
     ``DomainError`` before any draw when ``n_random`` is not a whole number
     >= 1 (each random check needs a sample), when either list is empty, for
-    a gamma that is not a finite value >= 0 and for a k that is not a whole
-    number >= 2.
+    a gamma that is not a finite value > 0 (the thresholds do not exist at
+    0, and ``gamma_zero_identity`` checks it) and for a k that is not a
+    whole number >= 2.
     """
     n_random = core.require_count(n_random, "n_random", 1)
     gammas = tuple(core.require_gamma(g) for g in gamma_list)
     ks = tuple(core.require_count(k, "k", 2, "classes") for k in k_list)
     if not gammas or not ks:
         raise DomainError("gamma_list and k_list must not be empty")
+    if 0.0 in gammas:
+        raise DomainError("gamma_list must not hold 0, where the thresholds do not exist")
     rng = np.random.default_rng(seed)
     n_draw, n_few = max(n_random, 20), max(20, n_random // 4)
     trip, agree, argmax, order, identity = _draw_checks(rng, gammas, ks, n_draw, n_few)

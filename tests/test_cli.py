@@ -58,6 +58,14 @@ class TestThresholdsCommand:
     def test_gamma_zero_is_data_error(self, capsys):
         assert main(["thresholds", "--gamma", "0"]) == 3
 
+    def test_grid_beyond_any_array_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        argv = ["thresholds", "--gamma", "2", "--grid", str(10**20), "--curve-out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "grid_size must be <= " in captured.err
+        assert not out.exists()
+
     def test_empty_grid_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert main(["thresholds", "--gamma", "2", "--grid", "0", "--curve-out", str(out)]) == 3
@@ -76,6 +84,19 @@ class TestThresholdsCommand:
 
 
 class TestCurveCommand:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--k", str(10**400)], "need k <= "),
+            (["--k", "3", "--grid", str(10**20)], "grid_size must be <= "),
+        ],
+        ids=["k_beyond_float", "grid_beyond_intp"],
+    )
+    def test_counts_beyond_any_array_are_data_errors(self, capsys, args, message):
+        assert main(["curve", "--gamma", "1", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_stdout_csv(self, capsys):
         assert main(["curve", "--k", "2", "--gamma", "1", "--grid", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -453,6 +474,9 @@ class TestVerifyCommand:
             (["--gamma-list", "2", "-1"], "gamma must be a finite value >= 0, got -1.0"),
             (["--k-list", "-3"], "need k >= 2 classes, got -3"),
             (["--k-list", "4", "1"], "need k >= 2 classes, got 1"),
+            (["--gamma-list", "2", "0"], "gamma_list must not hold 0"),
+            (["--k-list", str(10**20)], f"need k <= {2**63 - 1} classes"),
+            (["--n-random", str(10**20)], f"n_random must be <= {2**63 - 1}"),
         ],
     )
     def test_bad_lists_are_data_errors(self, capsys, args, message):

@@ -293,8 +293,8 @@ LOAD_MODES = [
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Bodies read in ranges of a few bytes and written in blocks of a few
-    values, all on a fork pool of three workers whatever the machine."""
+    """Bodies read in ranges of a few bytes on a fork pool of three workers
+    whatever the machine, and saves written in blocks of a few values."""
     monkeypatch.setattr(fio, "_SPAN_BYTES", 8)
     monkeypatch.setattr(fio, "_BLOCK_VALUES", 5)
     monkeypatch.setattr(fio, "_POOL_MIN_BYTES", 8)
@@ -430,17 +430,16 @@ class TestForkPool:
 
     @pytest.mark.parametrize("fmt", list(FileFormat))
     @pytest.mark.parametrize("n", [0, 1, 40])
-    def test_pool_writes_the_sequential_bytes(self, request, tmp_path, monkeypatch, fmt, n):
+    def test_save_starts_no_pool(self, request, tmp_path, monkeypatch, fmt, n):
         preds = _sample(n)
-        sequential = tmp_path / f"seq.{fmt.value}"
-        save_predictions(preds, sequential)
+        default_blocks = tmp_path / f"default.{fmt.value}"
+        save_predictions(preds, default_blocks)
+        # blocks of five values, and a pool for anything from 8 bytes
         request.getfixturevalue("pooled")
-        spy = _spy_on_pools(monkeypatch)
-        pooled_path = tmp_path / f"pool.{fmt.value}"
-        save_predictions(preds, pooled_path)
-        assert pooled_path.read_bytes() == sequential.read_bytes()
-        # one block (n = 1) or none needs no pool
-        assert spy.call_count == (n > 1)
+        _forbid_pools(monkeypatch)
+        small_blocks = tmp_path / f"small.{fmt.value}"
+        save_predictions(preds, small_blocks)
+        assert small_blocks.read_bytes() == default_blocks.read_bytes()
 
     @pytest.mark.parametrize("fmt", list(FileFormat))
     def test_small_files_start_no_pool(self, tmp_path, monkeypatch, fmt):
@@ -473,13 +472,17 @@ class TestForkPool:
         monkeypatch.setattr(fio, "_read_span", _fail_in_worker)
         with pytest.raises(OSError) as load_error:
             load_predictions(path)
+        error = load_error.value
+        assert type(error) is OSError and error.errno == errno.EIO
+        assert int(error.strerror.rsplit(" ", 1)[1]) != os.getpid()
+        # a save formats its blocks in this process
         emit = "_csv_block" if fmt is FileFormat.CSV else "_jsonl_block"
         monkeypatch.setattr(fio, emit, _fail_in_worker)
         with pytest.raises(OSError) as save_error:
             save_predictions(preds, path)
-        for error in (load_error.value, save_error.value):
-            assert type(error) is OSError and error.errno == errno.EIO
-            assert int(error.strerror.rsplit(" ", 1)[1]) != os.getpid()
+        error = save_error.value
+        assert type(error) is OSError and error.errno == errno.EIO
+        assert int(error.strerror.rsplit(" ", 1)[1]) == os.getpid()
         assert os.listdir(tmp_path) == [path.name]
         assert path.read_bytes() == old
 

@@ -60,10 +60,11 @@ class TestThresholdSolvers:
         with pytest.raises(DegenerateError):
             thresholds(0.0)
 
-    @pytest.mark.parametrize("gamma", [1e-6, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("gamma", [1e-6, 1e3, 1e4, 1e5, 1e6, 1e9, 1e12, 1e15])
     def test_extreme_gamma(self, gamma):
         # from g = 1e4, (1 - v)^g underflows on most of [0, 0.5]; at
-        # g = 1e-6, w(0.5) - 1 is only -2.4e-13.  The slope is written out
+        # g = 1e-6, w(0.5) - 1 is only -2.4e-13; from g = 1e6 the thresholds
+        # lie below 1e-5, and at 1e15 below 1e-14.  The slope is written out
         # here, unfactored
         def slope(v):
             return -gamma * (1.0 - v) ** (gamma - 1.0) * (2.0 + math.log(v)) + gamma * (

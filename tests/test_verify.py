@@ -84,6 +84,12 @@ class TestRunVerify:
             {"n_random": 2.5},
             {"n_random": True},
             {"n_random": float("nan")},
+            {"gamma_list": [0.0]},
+            {"gamma_list": [2.0, -0.0]},
+            {"k_list": [10**400]},
+            {"k_list": [3, 2**63]},
+            {"n_random": 10**20},
+            {"n_random": 1e300},
         ],
         ids=[
             "no_gamma",
@@ -100,6 +106,12 @@ class TestRunVerify:
             "fractional_n_random",
             "bool_n_random",
             "nan_n_random",
+            "zero_gamma",
+            "negative_zero_gamma",
+            "k_beyond_float",
+            "k_beyond_intp",
+            "huge_n_random",
+            "huge_float_n_random",
         ],
     )
     def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
