@@ -4,7 +4,8 @@ Subcommands: ``transform``, ``metrics``, ``thresholds``, ``curve``,
 ``ts-fit``, ``synth``, ``verify``; global flags ``--seed`` and
 ``--renormalize`` (numerical tolerances are library constants).  Exit
 codes: 0 success, 1 verification failure, 2 usage error (argparse's
-default), 3 data error.  Arguments are checked before any output.
+default), 3 data error (an array too large to allocate included).
+Arguments are checked before any output.
 """
 
 from __future__ import annotations
@@ -408,7 +409,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CalibrationError as exc:
+    except (CalibrationError, MemoryError) as exc:
+        # a MemoryError is an array too large to allocate (say --grid 10**18),
+        # not a failed verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

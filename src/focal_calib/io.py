@@ -31,11 +31,12 @@ command's peak RSS fell from 76 to 36 MiB on a 41 MB CSV (k = 10), from
 The pass accepts only plain rows (unquoted CSV fields, integer labels,
 finite scores, no blank-looking or comment lines, JSONL objects whose
 only strings are the two keys).  On anything else, when two ranges
-disagree on k, or when a check fails or warns, it declines: the
-line-by-line parser re-reads the file (a transform runs the composed
-load, transform and save instead) and alone decides the result, so the
-accepted syntax, the errors, their line numbers and the warnings are
-those of that parser.
+disagree on k, or when a check fails or warns, it declines, and a
+refusal has one form: ``_Declined``, raised where it happens.  The
+line-by-line parser then re-reads the file (a transform runs the
+composed load, transform and save instead) and alone decides the
+result, so the accepted syntax, the errors, their line numbers and the
+warnings are those of that parser.
 
 Parsing floats is single-threaded Python and numpy work (about
 0.1-0.35 us per value), so from ``_POOL_MIN_BYTES`` (4 MiB) of input file
@@ -248,9 +249,8 @@ def load_predictions(
     error and its line.
     """
     fmt = file_format or detect_format(path)
-    job = functools.partial(_range_job, _rows, kind, renormalize)
     try:
-        with _ranges(path, fmt, job) as parts:
+        with _ranges(path, fmt, _rows, kind, renormalize) as parts:
             # counted while any pool workers parse: at least the file's rows
             with open(path, "rb") as fh:
                 n_max = 1 + sum(_line_ends(block) for block in iter(lambda: fh.read(1 << 20), b""))
@@ -268,7 +268,7 @@ def load_predictions(
                 return PredictionSet(scores[:n], labels[:n], kind)
             except CalibrationError:
                 raise _Declined from None  # the line-by-line parser names the line
-    except (_Declined, UnicodeDecodeError):
+    except _Declined:
         # the line-by-line parser also reports a bad byte's file offset
         return _load_by_line(path, fmt, kind, renormalize)
 
@@ -346,28 +346,24 @@ class _Declined(Exception):
 
 
 @contextlib.contextmanager
-def _ranges(path, fmt: FileFormat, job):
-    """An iterator over ``(k, part)`` from ``job(parse, path, start, stop)``
-    for each byte range of a file body that has rows, in order, on a fork
-    pool when the file is large.  It raises ``_Declined`` for a header
-    ``_body_parser`` refuses, a range ``job`` refuses, two ranges that
-    disagree on k and, once the ranges are spent, a body without rows.
+def _ranges(path, fmt: FileFormat, finish, kind: ScoreKind, renormalize: bool):
+    """An iterator over ``(k, part)`` from ``_range_job`` for each byte
+    range of a file body that has rows, in order, on a fork pool when the
+    file is large.  ``_Declined`` comes from a header ``_body_parser``
+    refuses, a range ``_range_job`` refuses, two ranges that disagree on k
+    and, once the ranges are spent, a body without rows.
     """
-    parser = _body_parser(path, fmt)
-    if parser is None:
-        raise _Declined
-    body, parse = parser
+    body, parse = _body_parser(path, fmt)
     size = os.path.getsize(path)
     tasks = [(path, *span) for span in _spans(path, body, size)]
-    with _results(functools.partial(job, parse), tasks, _pool_size(size)) as parts:
+    job = functools.partial(_range_job, finish, kind, renormalize, parse)
+    with _results(job, tasks, _pool_size(size)) as parts:
         yield _agreeing(parts)
 
 
 def _agreeing(parts):
     k = None
     for part in parts:
-        if part is None:
-            raise _Declined
         if part[0] == 0:
             continue
         if k is None:
@@ -382,25 +378,23 @@ def _agreeing(parts):
 def _range_job(finish, kind: ScoreKind, renormalize: bool, parse, path, start: int, stop: int):
     """``finish(labels, scores)``, which gives ``(k, part)``, on the rows of
     one byte range, renormalized if asked; ``(0, None)`` for a range without
-    rows, and None where ``parse`` refuses the range or a check or
-    ``finish`` raises ``CalibrationError`` or warns.  The line-by-line
-    parser then decides the error and shows a warning once, not per range.
+    rows.  Where ``parse``, a check or ``finish`` refuses, fails to parse or
+    decode, or warns (``loadtxt`` warns on a range without rows), it raises
+    ``_Declined``: the line-by-line parser then decides the error and shows
+    a warning once, not per range.  Any other exception, such as an
+    ``OSError``, reaches the caller as itself.
     """
-    rows = parse(path, start, stop)
-    if rows is None:
-        return None
-    labels, scores = rows
-    if len(labels) == 0:
-        return 0, None
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, scores = parse(path, start, stop)
+            if len(labels) == 0:
+                return 0, None
             if kind is ScoreKind.PROBABILITIES and renormalize:
                 scores = _validate_rows(scores, None, True)
-            part = finish(labels, scores)
-    except CalibrationError:
-        return None
-    return None if caught else part
+            return finish(labels, scores)
+    except (CalibrationError, ValueError, TypeError, OverflowError, Warning):
+        raise _Declined from None
 
 
 def _rows(labels, scores):
@@ -410,22 +404,27 @@ def _rows(labels, scores):
 
 def _body_parser(path, fmt: FileFormat):
     """The byte offset of a file's body and the function that parses one
-    byte range of it, ``parse(path, start, stop)``, or None for a CSV
-    header the line-by-line parser might read differently: quoted or odd,
-    or ended by a lone carriage return.
+    byte range of it, ``parse(path, start, stop)``.  It raises
+    ``_Declined`` for a CSV header that does not decode or that the
+    line-by-line parser might read differently: quoted or odd, or ended by
+    a lone carriage return.
 
     A CSV range is read by one ``np.loadtxt`` call, which refuses quoted
     fields, ``1_0`` or ``1.0`` labels and whitespace-only, ``#`` or ragged
     lines.  A JSONL line is taken only when it is an object whose only
     strings are its two keys, with an ``int`` label and a list of ``k``
-    numbers.  ``parse`` gives None where it refuses its range.  Non-finite
-    scores and labels out of range are left to the caller's checks.
+    numbers.  ``parse`` raises ``_Declined`` where it refuses its range,
+    and lets its parse errors rise.  Non-finite scores and labels out of
+    range are left to the caller's checks.
     """
     if fmt is FileFormat.JSONL:
         return 0, _jsonl_rows
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        body = fh.tell()
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline()
+            body = fh.tell()
+    except UnicodeDecodeError:
+        raise _Declined from None
     names = header.removesuffix("\n").removesuffix("\r")
     k = names.count(",")
     # readline also stops at a lone carriage return; the csv module
@@ -435,28 +434,21 @@ def _body_parser(path, fmt: FileFormat):
         or k < 2
         or [h.strip() for h in names.split(",")] != _csv_header(k)
     ):
-        return None
+        raise _Declined
     dtype = np.dtype([("label", np.int64), ("scores", np.float64, (k,))])
     return body, functools.partial(_csv_rows, dtype)
 
 
 def _csv_rows(dtype, path, start: int, stop: int):
-    """One byte range of a CSV body from one ``np.loadtxt`` call, or None
-    where ``loadtxt`` refuses it."""
+    """One byte range of a CSV body from one ``np.loadtxt`` call."""
     text = _span_text(_read_span(path, start, stop))
-    try:
-        with warnings.catch_warnings():
-            # a range with no rows is only a warning to loadtxt
-            warnings.simplefilter("error")
-            table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, UserWarning):
-        return None
+    table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     # contiguous, as the arrays of a whole file are
     return np.ascontiguousarray(table["label"]), np.ascontiguousarray(table["scores"])
 
 
 def _jsonl_rows(path, start: int, stop: int):
-    """One byte range of a JSONL file, or None where a line is not plain."""
+    """One byte range of a JSONL file; ``_Declined`` where a line is not plain."""
     data = _read_span(path, start, stop)
     labels = np.empty(_line_ends(data) + 1, dtype=np.int64)
     scores = None
@@ -467,27 +459,21 @@ def _jsonl_rows(path, start: int, stop: int):
         # any other string (a string score, an extra field) takes the
         # line-by-line parser
         if raw.count('"') != 4:
-            return None
-        try:
-            obj = json.loads(raw)
-        except ValueError:
-            return None
+            raise _Declined
+        obj = json.loads(raw)
         if type(obj) is not dict:
-            return None
+            raise _Declined
         label, row = obj.get("label"), obj.get("scores")
         if type(label) is not int or type(row) is not list:
-            return None
+            raise _Declined
         if scores is None:
             if len(row) < 2:
-                return None
+                raise _Declined
             scores = np.empty((len(labels), len(row)))
         if len(row) != scores.shape[1]:
-            return None
-        try:
-            scores[n] = row
-            labels[n] = label
-        except (TypeError, ValueError, OverflowError):
-            return None
+            raise _Declined
+        scores[n] = row
+        labels[n] = label
         n += 1
     if scores is None:
         return labels[:0], np.empty((0, 0))
@@ -582,9 +568,9 @@ def transform_file(
     out_fmt = out_fmt or detect_format(dst)
     emit = _csv_block if out_fmt is FileFormat.CSV else _jsonl_block
     finish = functools.partial(_transformed, rows_fn, kind, emit)
-    job = functools.partial(_range_job, finish, kind, renormalize)
+    ranges = _ranges(src, in_fmt, finish, kind, renormalize)
     try:
-        with _ranges(src, in_fmt, job) as parts, contextlib.ExitStack() as stack:
+        with ranges as parts, contextlib.ExitStack() as stack:
             # the pool forks before the temp file opens, so no worker holds it
             try:
                 fh = stack.enter_context(_atomic_writer(dst, "wb"))
@@ -595,7 +581,7 @@ def transform_file(
                     fh.write((",".join(_csv_header(k)) + "\n").encode())
                 fh.write(block)
         return
-    except (_Declined, UnicodeDecodeError):
+    except _Declined:
         pass
     save_predictions(rows_fn(load_predictions(src, in_fmt, kind, renormalize)), dst, out_fmt)
 

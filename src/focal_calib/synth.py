@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibrate import softmax
-from .core import CLAMP_EPS, _focal_terms, recover_posterior_rows, require_gamma
+from .core import CLAMP_EPS, _focal_terms, recover_posterior_rows, require_count, require_gamma
 from .errors import DimensionError, DivergenceError, DomainError, EmptyDataError
 from .metrics import PredictionSet, ScoreKind, error_rate, ece, kld_rows
 
@@ -41,10 +41,13 @@ class SyntheticDistribution:
             raise DimensionError("priors, means and sigmas must have equal length")
         if len(self.priors) < 2:
             raise DimensionError("need at least 2 mixture components")
-        if abs(sum(self.priors) - 1.0) > 1e-9 or min(self.priors) <= 0.0:
+        # each check is written so that a NaN fails it
+        if not (abs(sum(self.priors) - 1.0) <= 1e-9 and min(self.priors) > 0.0):
             raise DomainError("priors must be positive and sum to 1")
-        if min(self.sigmas) <= 0.0:
-            raise DomainError("all sigmas must be > 0")
+        if not all(math.isfinite(m) for m in self.means):
+            raise DomainError("all means must be finite")
+        if not all(0.0 < s < math.inf for s in self.sigmas):
+            raise DomainError("all sigmas must be finite and > 0")
 
     @property
     def k(self) -> int:
@@ -67,8 +70,7 @@ class SyntheticDistribution:
 
     def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` pairs ``(x, y)`` with 1-based labels, deterministically."""
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
+        n = require_count(n, "n", 1)
         rng = np.random.default_rng(seed)
         y = rng.choice(self.k, size=n, p=self.priors)
         x = rng.normal(np.asarray(self.means)[y], np.asarray(self.sigmas)[y])
@@ -97,10 +99,14 @@ class TrainConfig:
 
     def __post_init__(self):
         require_gamma(self.gamma)
-        if min(self.epochs, self.batch_size, self.hidden) < 1:
-            raise DomainError("epochs, batch_size and hidden must be >= 1")
-        if self.learning_rate <= 0.0 or self.weight_decay < 0.0:
-            raise DomainError("learning_rate must be > 0 and weight_decay >= 0")
+        for name in ("epochs", "batch_size", "hidden"):
+            # an integral float is kept as its int
+            object.__setattr__(self, name, require_count(getattr(self, name), name, 1))
+        # written so that a NaN fails them
+        if not 0.0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise DomainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
 
@@ -116,8 +122,8 @@ class MlpModel:
     PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
     def __init__(self, k: int, hidden: int, seed: int):
-        if k < 2:
-            raise DimensionError(f"need k >= 2 output classes, got {k}")
+        k = require_count(k, "k", 2, "output classes")
+        hidden = require_count(hidden, "hidden", 1)
         self.k = k
         self.hidden = hidden
         self.seed = seed

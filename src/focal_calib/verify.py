@@ -175,16 +175,25 @@ def _check_region_consistency(rng, gammas, ks, n) -> VerifyCheck:
         # underconfident side: top score in [tau_uc, 1)
         tops = rng.uniform(pair.tau_uc, 0.97, index.size)
         under = _top_gaps(rng, ks, tops, gamma) < -_DIRECTION_EPS
-        # overconfident side: top score in (1/k, tau_oc], a Dirichlet(50) tail
+        failures += np.count_nonzero(~under)
+        # overconfident side: top score in (1/k, tau_oc], a Dirichlet(50) tail.
+        # A row has about 1.25 / tau_oc classes (1.5 million at gamma = 1e6),
+        # so rows go in blocks of about core._BLOCK entries.  Each block keeps
+        # the full width and the generator fills C order, so the draws do not
+        # depend on the blocks
         tops = rng.uniform(0.6 * pair.tau_oc, pair.tau_oc, index.size)
         k = np.ceil((1.0 - tops) / tops * 1.25).astype(int) + 1
-        tail = rng.standard_gamma(50.0, (index.size, k.max() - 1))
-        tail[np.arange(k.max() - 1) >= (k - 1)[:, None]] = 0.0
-        rows = np.column_stack([tops, tail * ((1.0 - tops) / tail.sum(axis=1))[:, None]])
-        gap = tops - recover_posterior_rows(rows, gamma).max(axis=1)
-        # a row whose tail outgrew its top score has another top and is skipped
-        over = (rows.max(axis=1) != tops) | (gap > _DIRECTION_EPS)
-        failures += np.count_nonzero(~under) + np.count_nonzero(~over)
+        width = k.max() - 1
+        step = max(1, core._BLOCK // width)
+        for lo in range(0, tops.size, step):
+            top, kb = tops[lo : lo + step], k[lo : lo + step]
+            tail = rng.standard_gamma(50.0, (top.size, width))
+            tail[np.arange(width) >= (kb - 1)[:, None]] = 0.0
+            rows = np.column_stack([top, tail * ((1.0 - top) / tail.sum(axis=1))[:, None]])
+            gap = top - recover_posterior_rows(rows, gamma).max(axis=1)
+            # a row whose tail outgrew its top score has another top and is skipped
+            over = (rows.max(axis=1) != top) | (gap > _DIRECTION_EPS)
+            failures += np.count_nonzero(~over)
     detail = "guaranteed regions match pointwise direction"
     return _check("region_consistency", 2 * n, [failures], 1.0, detail)
 
@@ -254,7 +263,10 @@ def _check_fixed_points(rng, ks, gammas, n) -> VerifyCheck:
 
 
 def _check_weight_curve_shape(gammas, grid_size=100_000) -> VerifyCheck:
+    # log-spaced points toward 0 too: from gamma ~ 1e5 the maximum, at
+    # tau_oc, lies inside the linear grid's first step (8.6e-7 at 1e6)
     grid = np.linspace(1e-9, 1.0 - 1e-9, grid_size)
+    grid = np.union1d(grid, np.geomspace(1e-300, 1e-9, 3000))
     ok, residuals = True, []
     for gamma in gammas:
         residuals += [abs(core.confidence_weight(0.0, gamma) - 1.0)]
@@ -266,7 +278,7 @@ def _check_weight_curve_shape(gammas, grid_size=100_000) -> VerifyCheck:
         flips = int(np.count_nonzero(np.diff(signs)))
         ok &= flips == 1 and signs[0] > 0 and signs[-1] < 0
     detail = "endpoints 1 and 0; derivative changes sign exactly once"
-    return _check("weight_curve_shape", grid_size * len(gammas), residuals, 1e-12, detail, ok)
+    return _check("weight_curve_shape", grid.size * len(gammas), residuals, 1e-12, detail, ok)
 
 
 def _check_score_monotone(gammas, grid_size=100_000) -> VerifyCheck:

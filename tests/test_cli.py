@@ -66,6 +66,15 @@ class TestThresholdsCommand:
         assert captured.out == "" and "grid_size must be <= " in captured.err
         assert not out.exists()
 
+    def test_grid_no_array_can_hold_is_data_error(self, tmp_path, capsys):
+        # a valid count whose array fails to allocate, without touching memory
+        out = tmp_path / "curve.csv"
+        argv = ["thresholds", "--gamma", "2", "--grid", str(10**18), "--curve-out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_empty_grid_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         assert main(["thresholds", "--gamma", "2", "--grid", "0", "--curve-out", str(out)]) == 3
@@ -421,6 +430,12 @@ class TestSynthCommand:
             ("grid_hi=-6", "grid_hi"),
             ("gammas=[-1]", "gammas"),
             ("gammas=[NaN]", "gammas"),
+            ("priors=[0.5, 0.5, NaN]", "priors"),
+            ("learning_rate=nan", "learning_rate"),
+            ("learning_rate=Infinity", "learning_rate"),
+            ("weight_decay=nan", "weight_decay"),
+            ("sigmas=[1, NaN, 1]", "sigmas"),
+            ("means=[0, Infinity, 1]", "means"),
         ],
     )
     def test_bad_value_fails_before_any_output(self, tmp_path, capsys, entry, key):
@@ -483,6 +498,12 @@ class TestVerifyCommand:
         assert main(["verify", *args]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+    def test_draw_no_array_can_hold_is_data_error(self, capsys):
+        # a valid count whose draw fails to allocate, without touching memory
+        assert main(["verify", "--n-random", str(10**18)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import focal_calib.cli as cli_mod

@@ -283,6 +283,8 @@ JSONL_CORPUS = {
     "bad_sum_late": '{"label": 1, "scores": [0.7, 0.3]}\n' * 10 + '{"label": 1, "scores": [0.5, 0.3]}\n',
 }
 CSV_CORPUS["bad_utf8"] = H2 + "1,0.7,0.3\n" * 1000 + "1,0.7,\udcff\n"
+# a header that does not decode, read by the fast pass in the caller's process
+CSV_CORPUS["bad_utf8_header"] = "label,s1,s\udcff2\n1,0.7,0.3\n"
 
 LOAD_MODES = [
     (ScoreKind.PROBABILITIES, False),
@@ -369,6 +371,20 @@ class TestVectorizedPass:
         corpus = CSV_CORPUS if fmt is FileFormat.CSV else JSONL_CORPUS
         path = tmp_path / f"p.{fmt.value}"
         path.write_bytes(corpus[name].encode())
+        sentinel = PredictionSet(np.array([[0.5, 0.5]]), np.array([1]))
+        with mock.patch.object(fio, "_load_by_line", return_value=sentinel) as reference:
+            assert load_predictions(path, fmt) is sentinel
+        reference.assert_called_once()
+
+    @pytest.mark.parametrize(
+        "fmt, name",
+        [(FileFormat.CSV, "bad_utf8"), (FileFormat.CSV, "bad_utf8_header"),
+         (FileFormat.JSONL, "bad_utf8")],
+    )
+    def test_undecodable_files_go_to_line_by_line_parser(self, tmp_path, fmt, name):
+        corpus = CSV_CORPUS if fmt is FileFormat.CSV else JSONL_CORPUS
+        path = tmp_path / f"p.{fmt.value}"
+        path.write_bytes(corpus[name].encode(errors="surrogateescape"))
         sentinel = PredictionSet(np.array([[0.5, 0.5]]), np.array([1]))
         with mock.patch.object(fio, "_load_by_line", return_value=sentinel) as reference:
             assert load_predictions(path, fmt) is sentinel

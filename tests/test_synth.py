@@ -18,6 +18,8 @@ from focal_calib import (
     train_mlp,
 )
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestDistribution:
     def test_invalid_priors(self):
@@ -27,6 +29,32 @@ class TestDistribution:
     def test_invalid_sigma(self):
         with pytest.raises(DomainError):
             SyntheticDistribution((0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "priors, means, sigmas, key",
+        [
+            ((0.5, 0.5, NAN), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0), "priors"),
+            ((NAN, 0.5, 0.5), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0), "priors"),
+            ((0.5, INF), (0.0, 1.0), (1.0, 1.0), "priors"),
+            ((0.5, 0.5), (0.0, INF), (1.0, 1.0), "means"),
+            ((0.5, 0.5), (NAN, 1.0), (1.0, 1.0), "means"),
+            ((0.5, 0.5), (0.0, 1.0), (1.0, NAN), "sigmas"),
+            ((0.5, 0.5), (0.0, 1.0), (INF, 1.0), "sigmas"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, priors, means, sigmas, key):
+        with pytest.raises(DomainError, match=key):
+            SyntheticDistribution(priors, means, sigmas)
+
+    @pytest.mark.parametrize("n", [2.5, NAN, True, 0])
+    def test_sample_size_is_a_count(self, n):
+        with pytest.raises(DomainError, match="^n must"):
+            default_distribution().sample(n, 0)
+
+    def test_integral_float_sample_size(self):
+        dist = default_distribution()
+        for a, b in zip(dist.sample(5.0, 1), dist.sample(5, 1)):
+            np.testing.assert_array_equal(a, b)
 
     def test_posterior_rows_are_simplexes(self):
         dist = default_distribution()
@@ -63,6 +91,28 @@ class TestTraining:
     @staticmethod
     def _small_config(gamma, epochs=5, seed=3):
         return TrainConfig(gamma=gamma, epochs=epochs, batch_size=32, hidden=16, seed=seed)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", 2.5), ("epochs", NAN), ("hidden", 1.5), ("batch_size", True),
+            ("learning_rate", NAN), ("learning_rate", INF),
+            ("weight_decay", NAN), ("weight_decay", INF),
+        ],
+    )
+    def test_bad_config_value_rejected(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_integral_float_counts_are_kept_as_ints(self):
+        config = TrainConfig(epochs=2.0, batch_size=8.0, hidden=4.0)
+        assert config == TrainConfig(epochs=2, batch_size=8, hidden=4)
+        assert {type(v) for v in (config.epochs, config.batch_size, config.hidden)} == {int}
+
+    @pytest.mark.parametrize("k, hidden", [(1, 8), (2.5, 8), (3, 1.5), (3, True), (3, 0)])
+    def test_model_sizes_are_counts(self, k, hidden):
+        with pytest.raises(DomainError):
+            MlpModel(k, hidden, 0)
 
     def test_gamma_zero_focal_equals_cross_entropy_bitwise(self):
         dist = default_distribution()

@@ -155,3 +155,15 @@ class TestRunVerify:
         assert sum(solved_rows) == 60 and len(solved_rows) <= len(verify.DEFAULT_GAMMAS)
         samples = {c.name: c.samples for c in report.checks}
         assert samples["solver_agreement"] == 20 and samples["order_preserving"] == 60
+
+    @pytest.mark.parametrize("gamma", [1e6, 1e9, 1e12, 1e15])
+    def test_weight_curve_shape_sees_a_maximum_near_zero(self, gamma):
+        # the maximum, at tau_oc, lies inside the linear grid's first step
+        assert thresholds(gamma).tau_oc < 1e-5
+        assert verify._check_weight_curve_shape([gamma]).passed
+
+    def test_region_blocks_do_not_change_the_table(self, monkeypatch):
+        expected = run_verify(seed=7).format_table()
+        # one over-confident row per block
+        monkeypatch.setattr(core, "_BLOCK", 4)
+        assert run_verify(seed=7).format_table() == expected
