@@ -89,6 +89,16 @@ def require_count(value, name: str, minimum: int, unit: str = "") -> int:
     return int(value)
 
 
+def require_seed(seed) -> int:
+    """Validate a random seed, a whole number >= 0 of any size as numpy's
+    generators take it; return it as an int.  numpy raises a bare
+    ``ValueError`` on a negative seed, after a caller may have written output.
+    """
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a whole number >= 0, got {seed!r}")
+    return int(seed)
+
+
 def validate_simplex_rows(rows, tol: float, lines=None) -> np.ndarray:
     """Check an ``(n, k)`` stack of probability rows; return it as float64.
 

@@ -47,11 +47,18 @@ class ConvergenceError(CalibrationError):
 
 
 class DivergenceError(CalibrationError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
+
+    Its ``args`` are the ones it was made with, so it pickles: a synth
+    worker process returns it to the caller.
+    """
 
     def __init__(self, message: str, epoch: int):
-        super().__init__(f"{message} (epoch {epoch})")
+        super().__init__(message, epoch)
         self.epoch = epoch
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (epoch {self.epoch})"
 
 
 class EmptyDataError(CalibrationError):

@@ -94,12 +94,15 @@ _POOL_MIN_BYTES = 1 << 22
 _job = _stop = None
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _pool_size(size: int) -> int:
     """Processes to read an input file of ``size`` bytes with: one per CPU
     this process may run on from ``_POOL_MIN_BYTES`` up, else 1 (no pool)."""
-    if size < _POOL_MIN_BYTES or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+    return 1 if size < _POOL_MIN_BYTES else _cpu_count()
 
 
 def _set_job(job, stop) -> None:
@@ -119,12 +122,18 @@ def _results(job, tasks: list[tuple], workers: int):
     processes, which inherit ``job`` and the arrays it holds without
     pickling and start in milliseconds; a spawned worker would pay a whole
     interpreter start (about 0.08 s), and could not take a transform's
-    ``rows_fn`` closure.  Forking is safe here because the workers only
-    read files, parse or format text and run numpy row arithmetic with
-    modules already imported, so they take no lock another thread of the
-    caller may have held at the fork.  A worker's exception is raised here
-    when its result is reached, and the pool's processes are gone once the
-    block exits.
+    ``rows_fn`` closure or synth's training job.  Forking is safe here
+    because the workers only read files, parse or format text and run
+    numpy arithmetic with modules already imported, so they take no lock
+    another thread of the caller may have held at the fork.  That holds for
+    synth's workers too, which train and score models with BLAS matrix
+    products: numpy's OpenBLAS builds run their threads on pthreads, not
+    OpenMP, and stop them at a fork (a ``pthread_atfork`` handler), so a
+    worker starts its own.  A BLAS whose threads do not survive a fork,
+    such as one built on GNU OpenMP, can hang a worker that multiplies
+    after its caller has.  A worker's exception is raised here when its
+    result is reached, and the pool's processes are gone once the block
+    exits.
 
     A block that exits before it has read every result, by an exception
     or a return, sets the shared stop flag, so the tasks not yet started

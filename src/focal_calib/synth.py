@@ -9,7 +9,10 @@ error rate, mean KL divergence to the analytic posterior over a grid, and
 expected calibration error, optionally after the recovery transform.
 
 Everything is seeded; identical seed, data and hyperparameters give
-bitwise-identical trained weights.
+bitwise-identical trained weights, whatever the stack a model trains in.
+So the ``synth`` command trains its runs in contiguous groups, one per
+CPU, each a lockstep stack in its own forked process, and its outputs are
+bit-identical to one process training every run.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibrate import softmax
-from .core import CLAMP_EPS, _focal_terms, recover_posterior_rows, require_count, require_gamma
+from .core import (
+    CLAMP_EPS,
+    _focal_terms,
+    recover_posterior_rows,
+    require_count,
+    require_gamma,
+    require_seed,
+)
 from .errors import DimensionError, DivergenceError, DomainError, EmptyDataError
 from .metrics import PredictionSet, ScoreKind, error_rate, ece, kld_rows
 
@@ -71,7 +81,7 @@ class SyntheticDistribution:
     def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` pairs ``(x, y)`` with 1-based labels, deterministically."""
         n = require_count(n, "n", 1)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_seed(seed))
         y = rng.choice(self.k, size=n, p=self.priors)
         x = rng.normal(np.asarray(self.means)[y], np.asarray(self.sigmas)[y])
         return x, y + 1
@@ -99,6 +109,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_gamma(self.gamma)
+        object.__setattr__(self, "seed", require_seed(self.seed))
         for name in ("epochs", "batch_size", "hidden"):
             # an integral float is kept as its int
             object.__setattr__(self, name, require_count(getattr(self, name), name, 1))
@@ -126,8 +137,8 @@ class MlpModel:
         hidden = require_count(hidden, "hidden", 1)
         self.k = k
         self.hidden = hidden
-        self.seed = seed
-        rng = np.random.default_rng(seed)
+        self.seed = require_seed(seed)
+        rng = np.random.default_rng(self.seed)
 
         def init(fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
             bound = 1.0 / np.sqrt(fan_in)

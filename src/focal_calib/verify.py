@@ -309,10 +309,11 @@ def run_verify(
     ``DomainError`` before any draw when ``n_random`` is not a whole number
     >= 1 (each random check needs a sample), when either list is empty, for
     a gamma that is not a finite value > 0 (the thresholds do not exist at
-    0, and ``gamma_zero_identity`` checks it) and for a k that is not a
-    whole number >= 2.
+    0, and ``gamma_zero_identity`` checks it), for a k that is not a whole
+    number >= 2 and for a seed that is not a whole number >= 0.
     """
     n_random = core.require_count(n_random, "n_random", 1)
+    seed = core.require_seed(seed)
     gammas = tuple(core.require_gamma(g) for g in gamma_list)
     ks = tuple(core.require_count(k, "k", 2, "classes") for k in k_list)
     if not gammas or not ks:

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, artifacts, determinism."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -456,6 +458,94 @@ class TestSynthCommand:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
         assert not list(out_dir.glob("model_*.npz"))
+
+
+class TestSynthOnCpus:
+    """``synth`` trains one group of runs per CPU, on the fork pool from two
+    CPUs up; its outputs are those of one process training every run."""
+
+    SMALL = [
+        arg
+        for entry in ("epochs=2", "n_train=300", "n_test=500", "grid_n=21", "hidden=8")
+        for arg in ("--set", entry)
+    ]
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, capsys, cpus, argv):
+        # the exit code, stdout, stderr, warnings and every output file
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out_dir = tmp_path / f"cpus{cpus}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main([*argv, "--out", str(out_dir)])
+        printed = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return (
+            code,
+            printed.out.replace(str(out_dir), "OUT"),
+            printed.err,
+            [(str(w.message), w.category, w.filename, w.lineno) for w in caught],
+            files,
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--plot"], ["--set", "gammas=[1, 2, 5]"], ["--set", "gammas=[]"]],
+        ids=["plot", "stacked_group", "one_run"],
+    )
+    def test_files_and_stdout_match_one_process(self, tmp_path, monkeypatch, capsys, extra):
+        # three CPUs give the groups [ce], [fl1], [fl2, fl5] for four runs,
+        # and gammas=[] one run, which takes no pool
+        argv = ["--seed", "3", "synth", *self.SMALL, *extra]
+        pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
+        alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
+        assert pooled[0] == 0
+        assert pooled == alone
+
+    def test_divergence_matches_one_process(self, tmp_path, monkeypatch, capsys):
+        argv = ["synth", *self.SMALL, "--set", "learning_rate=1e9"]
+        pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
+        alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
+        code, _, err, caught, files = pooled
+        assert code == 3
+        assert "non-finite at gamma=0 (epoch" in err
+        # the workers' warnings reach the caller, once each
+        assert caught and len(set(caught)) == len(caught)
+        assert not [name for name in files if name.startswith("model_")]
+        assert pooled == alone
+
+    @pytest.mark.parametrize(
+        "fake_epochs, expected",
+        [({1.0: 3, 5.0: 4}, "gamma=1 (epoch 3)"), ({1.0: 3, 5.0: 3}, "gamma=5 (epoch 3)")],
+    )
+    def test_earliest_divergence_wins(self, tmp_path, monkeypatch, capsys, fake_epochs, expected):
+        # runs ce, fl5, fl1: ce trains, the fl runs diverge at the given
+        # epochs; the error is the earliest epoch's, on a tie the first run's
+        real_train = focal_calib.cli.train_mlp
+
+        def train(x, y, configs, k):
+            bad = [c.gamma for c in configs if c.gamma in fake_epochs]
+            if bad:
+                first = min(bad, key=fake_epochs.get)
+                epoch = fake_epochs[first]
+                raise focal_calib.DivergenceError(f"diverged at gamma={first:g}", epoch)
+            return real_train(x, y, configs, k=k)
+
+        monkeypatch.setattr(focal_calib.cli, "train_mlp", train)
+        argv = ["synth", *self.SMALL, "--set", "gammas=[5, 1]"]
+        for cpus in (3, 1):
+            code, _, err, _, files = self._run(tmp_path, monkeypatch, capsys, cpus, argv)
+            assert code == 3
+            assert err == f"error: diverged at {expected}\n"
+            assert sorted(files) == ["dataset.csv", "panel_density.csv", "panel_posterior.csv"]
+
+    @pytest.mark.parametrize("command", [["synth", "--out", "OUT"], ["verify"]])
+    def test_negative_seed_is_a_data_error(self, tmp_path, capsys, command):
+        argv = [str(tmp_path / "run") if a == "OUT" else a for a in command]
+        assert main(["--seed", "-1", *argv]) == 3
+        assert "seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerifyCommand:

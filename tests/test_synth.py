@@ -1,6 +1,7 @@
 """Synthetic mixture, MLP training, gradient checks, panel evaluation."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,11 @@ class TestDistribution:
     def test_sample_size_is_a_count(self, n):
         with pytest.raises(DomainError, match="^n must"):
             default_distribution().sample(n, 0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True])
+    def test_sample_seed_is_a_whole_number_from_zero(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            default_distribution().sample(10, seed)
 
     def test_integral_float_sample_size(self):
         dist = default_distribution()
@@ -104,6 +110,17 @@ class TestTraining:
         with pytest.raises(DomainError, match=key):
             TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, False])
+    def test_seed_is_a_whole_number_from_zero(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(seed=seed)
+        with pytest.raises(DomainError, match="seed"):
+            MlpModel(3, 8, seed)
+
+    def test_large_seed_is_kept(self):
+        assert TrainConfig(seed=2**70).seed == 2**70
+        assert MlpModel(3, 8, np.int64(5)).seed == 5
+
     def test_integral_float_counts_are_kept_as_ints(self):
         config = TrainConfig(epochs=2.0, batch_size=8.0, hidden=4.0)
         assert config == TrainConfig(epochs=2, batch_size=8, hidden=4)
@@ -154,6 +171,11 @@ class TestTraining:
         with pytest.raises(DivergenceError) as info:
             train_mlp(x, y, config)
         assert info.value.epoch >= 0
+        # a synth worker process returns it to the caller
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (type(copy), str(copy), copy.epoch) == (
+            DivergenceError, str(info.value), info.value.epoch
+        )
 
     def test_lockstep_stack_matches_separate_runs_bitwise(self):
         # 500 rows in batches of 32 leave a short last batch of 20

@@ -90,6 +90,8 @@ class TestRunVerify:
             {"k_list": [3, 2**63]},
             {"n_random": 10**20},
             {"n_random": 1e300},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
         ids=[
             "no_gamma",
@@ -112,6 +114,8 @@ class TestRunVerify:
             "k_beyond_intp",
             "huge_n_random",
             "huge_float_n_random",
+            "negative_seed",
+            "fractional_seed",
         ],
     )
     def test_bad_lists_raise_before_any_draw(self, monkeypatch, kwargs):
