@@ -14,6 +14,7 @@ import pytest
 import focal_calib
 import focal_calib.io as fio
 from focal_calib.cli import main
+from focal_calib.synth import _FORWARD_ROWS
 
 CSV = "label,s1,s2,s3\n1,0.7,0.2,0.1\n2,0.3,0.5,0.2\n3,0.2,0.2,0.6\n1,0.4,0.35,0.25\n"
 
@@ -498,6 +499,15 @@ class TestSynthOnCpus:
         # three CPUs give the groups [ce], [fl1], [fl2, fl5] for four runs,
         # and gammas=[] one run, which takes no pool
         argv = ["--seed", "3", "synth", *self.SMALL, *extra]
+        pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
+        alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
+        assert pooled[0] == 0
+        assert pooled == alone
+
+    def test_blocked_forward_matches_one_process(self, tmp_path, monkeypatch, capsys):
+        # two whole forward blocks of test draws and an overlapping tail
+        n_test = 2 * _FORWARD_ROWS + 17
+        argv = ["synth", *self.SMALL, "--set", "epochs=1", "--set", f"n_test={n_test}"]
         pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
         alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
         assert pooled[0] == 0

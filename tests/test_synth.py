@@ -18,6 +18,7 @@ from focal_calib import (
     grad_check,
     train_mlp,
 )
+from focal_calib.synth import _FORWARD_ROWS as B
 
 NAN, INF = float("nan"), float("inf")
 
@@ -268,6 +269,33 @@ class TestTraining:
         np.testing.assert_array_equal(logits, expected)
         # two hidden activations at most; the textbook forward holds three
         assert peak < 2.5 * activation
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 17, 100_000])
+    def test_blocked_forward_matches_textbook_forward(self, n):
+        # equal-sized blocks, the last one overlapping its neighbour, round
+        # as one whole-batch product does
+        model = MlpModel(k=3, hidden=64, seed=3)
+        xs = np.random.default_rng(13).normal(0, 3, size=n)
+        h1 = np.maximum(xs[:, None] @ model.w1 + model.b1, 0.0)
+        h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+        np.testing.assert_array_equal(model.predict_logits(xs), h2 @ model.w3 + model.b3)
+
+    def test_forward_memory_beyond_its_output_does_not_grow_with_n(self):
+        model = MlpModel(k=3, hidden=64, seed=3)
+        extra = []
+        for n in (4 * B, 16 * B):
+            xs = np.random.default_rng(13).normal(0, 3, size=n)
+            tracemalloc.start()
+            try:
+                logits = model.predict_logits(xs)
+                extra.append(tracemalloc.get_traced_memory()[1] - logits.nbytes)
+            finally:
+                tracemalloc.stop()
+        # the same up to a few hundred bytes that the first calls allocate
+        # once; two (n, hidden) activations would add 100 MB from 4B to 16B
+        assert abs(extra[1] - extra[0]) < 1024
+        # two (B, hidden) activations, not two (n, hidden)
+        assert extra[1] < 2.5 * B * model.hidden * 8
 
 
 class TestGradCheck:
