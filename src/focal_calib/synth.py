@@ -78,13 +78,36 @@ class SyntheticDistribution:
         pri = np.asarray(self.priors)
         mu = np.asarray(self.means)
         sd = np.asarray(self.sigmas)
-        z = (xs[:, None] - mu) / sd
-        return pri * np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
+        # a z or z * z that overflows is a density of 0, its limit
+        with np.errstate(over="ignore"):
+            z = (xs[:, None] - mu) / sd
+            tail = np.exp(-0.5 * z * z)
+        return pri * tail / (sd * np.sqrt(2.0 * np.pi))
 
     def posterior(self, x) -> np.ndarray:
-        """Analytic class posterior; rows are valid probability vectors."""
-        joint = self.joint_density(x)
-        post = joint / joint.sum(axis=1, keepdims=True)
+        """Analytic class posterior; rows are valid probability vectors.
+
+        Computed in the log domain, ``log prior - log sigma - z**2 / 2``
+        shifted by each row's maximum, so a row whose joint densities all
+        underflow (a narrow component, or ``x`` far from every mean) still
+        normalizes.  Where even every ``z**2`` overflows, the component
+        nearest in units of its sigma takes all the mass, as it does in the
+        limit.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        mu = np.asarray(self.means)
+        sd = np.asarray(self.sigmas)
+        with np.errstate(over="ignore"):  # as in joint_density
+            z = (xs[:, None] - mu) / sd
+            log_joint = np.log(self.priors) - np.log(sd) - 0.5 * z * z
+        top = log_joint.max(axis=1, keepdims=True)
+        far = np.isneginf(top[:, 0])
+        if far.any():
+            log_z = np.log(np.abs(xs[far, None] - mu)) - np.log(sd)
+            log_joint[far] = np.where(log_z == log_z.min(axis=1, keepdims=True), 0.0, -np.inf)
+            top[far] = 0.0
+        post = np.exp(log_joint - top)
+        post /= post.sum(axis=1, keepdims=True)
         return post[0] if np.ndim(x) == 0 else post
 
     def sample(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

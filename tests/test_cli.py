@@ -460,6 +460,19 @@ class TestSynthCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not list(out_dir.glob("model_*.npz"))
 
+    @pytest.mark.parametrize("sigmas", ["[0.05, 0.05, 0.05]", "[1e-320, 1, 1]"])
+    def test_narrow_mixture_writes_no_nan(self, tmp_path, capsys, sigmas):
+        # the joint densities of most grid rows underflow to 0 together; a
+        # RuntimeWarning fails the test, and one replayed from a worker
+        # reaches stderr
+        entries = ["n_train=300", "n_test=500", "epochs=2", "hidden=8", "grid_n=21", f"sigmas={sigmas}"]
+        out_dir = tmp_path / "run"
+        code = main(["synth", *[arg for e in entries for arg in ("--set", e)], "--out", str(out_dir)])
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err
+        for path in out_dir.glob("*.csv"):
+            assert "nan" not in path.read_text().lower(), path.name
+
 
 class TestSynthOnCpus:
     """``synth`` trains one group of runs per CPU, on the fork pool from two

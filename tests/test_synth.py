@@ -73,6 +73,36 @@ class TestDistribution:
         dist = SyntheticDistribution((0.5, 0.5), (-1.0, 1.0), (1.0, 1.0))
         np.testing.assert_allclose(dist.posterior(0.0), [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "sigmas", [(0.05, 0.05, 0.05), (1e-320, 1.0, 1.0), (1e-200, 1e-200, 1e-200)]
+    )
+    def test_narrow_components_give_simplex_rows(self, sigmas):
+        # every joint density of most of these rows underflows to 0, and in
+        # the last mixture every z * z overflows
+        dist = SyntheticDistribution((0.35, 0.35, 0.30), (-2.0, 0.0, 2.0), sigmas)
+        grid = np.linspace(-6, 6, 601)
+        post = dist.posterior(grid)  # a RuntimeWarning fails the test
+        assert np.isfinite(post).all() and post.min() >= 0.0
+        np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
+        # the textbook quotient wherever it is defined; elsewhere the mass
+        # is at the nearest mean, off the midpoints between two means
+        with np.errstate(over="ignore"):  # a density of 1e319 at x = -2
+            joint = dist.joint_density(grid)
+        total = joint.sum(axis=1, keepdims=True)
+        defined = (total[:, 0] > 0.0) & np.isfinite(total[:, 0])
+        np.testing.assert_allclose(
+            post[defined], joint[defined] / total[defined], rtol=1e-12, atol=1e-300
+        )
+        rest = ~defined & ~np.isclose(np.abs(grid), 1.0)
+        nearest = np.abs(grid[:, None] - np.asarray(dist.means)).argmin(axis=1)
+        assert rest.any()
+        np.testing.assert_array_equal(post[rest].argmax(axis=1), nearest[rest])
+
+    def test_narrow_components_at_a_scalar(self):
+        dist = SyntheticDistribution((0.35, 0.35, 0.30), (-2.0, 0.0, 2.0), (0.05, 0.05, 0.05))
+        np.testing.assert_array_equal(dist.posterior(50.0), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(dist.posterior(-1.0), [0.5, 0.5, 0.0], atol=1e-15)
+
     def test_far_tail_saturates(self):
         dist = default_distribution()
         post = dist.posterior(dist.means[-1] + 10 * dist.sigmas[-1])
