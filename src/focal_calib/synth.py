@@ -204,7 +204,7 @@ class MlpModel:
         logits = np.empty((n, self.k))
         h1 = np.empty((rows, self.hidden))
         h2 = np.empty_like(h1)
-        for start in range(0, n, rows or 1):
+        for start in range(0, n, _FORWARD_ROWS):
             start = min(start, n - rows)
             block = slice(start, start + rows)
             np.multiply(xs[block, None], self.w1, out=h1)

@@ -505,22 +505,19 @@ class TestSynthOnCpus:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--plot"], ["--set", "gammas=[1, 2, 5]"], ["--set", "gammas=[]"]],
-        ids=["plot", "stacked_group", "one_run"],
+        [
+            ["--plot"],
+            ["--set", "gammas=[1, 2, 5]"],
+            ["--set", "gammas=[]"],
+            ["--set", "epochs=1", "--set", f"n_test={2 * _FORWARD_ROWS + 17}"],
+        ],
+        ids=["plot", "stacked_group", "one_run", "two_forward_blocks_and_a_tail"],
     )
     def test_files_and_stdout_match_one_process(self, tmp_path, monkeypatch, capsys, extra):
         # three CPUs give the groups [ce], [fl1], [fl2, fl5] for four runs,
-        # and gammas=[] one run, which takes no pool
+        # and gammas=[] one run, which takes no pool; the last case scores
+        # test draws in two whole forward blocks and an overlapping tail
         argv = ["--seed", "3", "synth", *self.SMALL, *extra]
-        pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
-        alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
-        assert pooled[0] == 0
-        assert pooled == alone
-
-    def test_blocked_forward_matches_one_process(self, tmp_path, monkeypatch, capsys):
-        # two whole forward blocks of test draws and an overlapping tail
-        n_test = 2 * _FORWARD_ROWS + 17
-        argv = ["synth", *self.SMALL, "--set", "epochs=1", "--set", f"n_test={n_test}"]
         pooled = self._run(tmp_path, monkeypatch, capsys, 3, argv)
         alone = self._run(tmp_path, monkeypatch, capsys, 1, argv)
         assert pooled[0] == 0
