@@ -71,6 +71,7 @@ from .synth import (
     default_distribution,
     evaluate_panel,
     grad_check,
+    run_experiment,
     train_mlp,
 )
 from .thresholds import (
@@ -142,6 +143,7 @@ __all__ = [
     "recover_posterior",
     "recover_posterior_rows",
     "recovery_score",
+    "run_experiment",
     "run_verify",
     "save_predictions",
     "scale_dataset",

@@ -13,41 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    apply_psi_dataset,
-    apply_temperature,
-    fit_temperature,
-    scale_dataset,
-    softmax,
-)
+from .calibrate import apply_psi_dataset, fit_temperature, scale_dataset
 from .core import require_count
-from .errors import CalibrationError, DivergenceError, DomainError
-from .io import (
-    FileFormat,
-    _atomic_writer,
-    _cpu_count,
-    _results,
-    load_predictions,
-    transform_file,
-    write_csv,
-)
+from .errors import CalibrationError, DomainError
+from .io import FileFormat, _atomic_writer, load_predictions, transform_file, write_csv
 from .metrics import PredictionSet, ScoreKind, bin_reliability, cw_ece, error_rate, nll
 from .minimizer import confidence_curve
 from .plotting import emit_reliability_svg, emit_score_curves_svg
-from .synth import (
-    SyntheticDistribution,
-    TrainConfig,
-    default_distribution,
-    evaluate_panel,
-    train_mlp,
-)
+from .synth import SyntheticDistribution, TrainConfig, default_distribution, run_experiment
 from .thresholds import thresholds as solve_thresholds
 from .thresholds import weight_curve
 from .verify import DEFAULT_GAMMAS, DEFAULT_KS, run_verify
@@ -244,105 +223,30 @@ def _cmd_synth(args) -> int:
     # each sample has its own seeded generator, so the draws do not depend
     # on their order
     x_train, y_train = dist.sample(opt["n_train"], args.seed)
-    x_val, y_val = dist.sample(opt["n_train"], args.seed + 1)
-    x_test, y_test = dist.sample(opt["n_test"], args.seed + 2)
+    val = dist.sample(opt["n_train"], args.seed + 1)
+    test = dist.sample(opt["n_test"], args.seed + 2)
     grid = np.linspace(opt["grid_lo"], opt["grid_hi"], opt["grid_n"])
     eta_grid = dist.posterior(grid)
-
-    def train_and_score(runs):
-        # one lockstep stack of the runs, then every panel of each model.  A
-        # DivergenceError is returned, not raised, so that the caller can
-        # pick the one a stack of all runs raises; the warnings are shown by
-        # the caller too, in run order rather than as the workers print them
-        configs = [replace(base_config, gamma=g) for _, g, _ in runs]
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                stack = train_mlp(x_train, y_train, configs, k=dist.k)
-            except DivergenceError as exc:
-                outcome = exc
-            else:
-                outcome = [
-                    (model, history, score(model, name, gamma, focal))
-                    for (name, gamma, focal), (model, history) in zip(runs, stack)
-                ]
-        return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-    def score(model, name, gamma, focal):
-        # one forward per input set; every variant is derived from its logits
-        grid_logits = model.predict_logits(grid)
-        test_logits = model.predict_logits(x_test)
-        q_grid, q_test = softmax(grid_logits), softmax(test_logits)
-        # (variant name, grid rows, test rows, recovery gamma)
-        variants = [(f"{name}_raw", q_grid, q_test, None)]
-        if focal:
-            val = PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS)
-            t = fit_temperature(val).temperature
-            variants.append(
-                (
-                    f"{name}_ts",
-                    apply_temperature(grid_logits, t),
-                    apply_temperature(test_logits, t),
-                    None,
-                )
-            )
-            variants.append((f"{name}_psi", q_grid, q_test, gamma))
-        return [
-            (
-                variant,
-                evaluate_panel(
-                    variant_grid,
-                    eta_grid,
-                    variant_test,
-                    y_test,
-                    gamma_for_recovery=gamma_for_recovery,
-                    n_bins=opt["bins"],
-                ),
-            )
-            for variant, variant_grid, variant_test, gamma_for_recovery in variants
-        ]
-
-    # (run name, training gamma, whether to add the _ts and _psi variants)
-    runs = [("ce", 0.0, False)] + [(f"fl{g:g}", g, True) for g in opt["gammas"]]
-    # contiguous groups of runs, one per CPU, each one job on the fork pool;
-    # a model's bits do not depend on the stack it trains in
-    n = min(_cpu_count(), len(runs))
-    groups = [(runs[len(runs) * i // n : len(runs) * (i + 1) // n],) for i in range(n)]
+    # written before training, so a run that diverges leaves these three
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _results(train_and_score, groups, n) as results:
-        # written while the workers train
-        write_csv(out_dir / "dataset.csv", ["x", "label"], zip(x_train, (int(v) for v in y_train)))
-        write_csv(
-            out_dir / "panel_posterior.csv",
-            ["x"] + [f"eta{i}" for i in range(1, dist.k + 1)],
-            (tuple([g] + list(row)) for g, row in zip(grid, eta_grid)),
-        )
-        write_csv(
-            out_dir / "panel_density.csv",
-            ["x"] + [f"joint{i}" for i in range(1, dist.k + 1)] + ["marginal"],
-            (
-                tuple([g] + list(row) + [row.sum()])
-                for g, row in zip(grid, dist.joint_density(grid))
-            ),
-        )
-        outcomes = list(results)
-
-    # each warning once, as one process training every run shows it
-    shown = set()
-    for _, caught in outcomes:
-        for warning in caught:
-            if warning not in shown:
-                shown.add(warning)
-                warnings.showwarning(*warning)
-    diverged = [outcome for outcome, _ in outcomes if isinstance(outcome, DivergenceError)]
-    if diverged:
-        # the error of one stack of all runs: the earliest epoch, then the
-        # first run; no model file is written
-        raise min(diverged, key=lambda exc: exc.epoch)
+    write_csv(out_dir / "dataset.csv", ["x", "label"], zip(x_train, (int(v) for v in y_train)))
+    write_csv(
+        out_dir / "panel_posterior.csv",
+        ["x"] + [f"eta{i}" for i in range(1, dist.k + 1)],
+        (tuple([g] + list(row)) for g, row in zip(grid, eta_grid)),
+    )
+    write_csv(
+        out_dir / "panel_density.csv",
+        ["x"] + [f"joint{i}" for i in range(1, dist.k + 1)] + ["marginal"],
+        (tuple([g] + list(row) + [row.sum()]) for g, row in zip(grid, dist.joint_density(grid))),
+    )
+    runs = run_experiment(
+        dist, base_config, opt["gammas"], (x_train, y_train), val, test, grid, opt["bins"]
+    )
 
     summary = []
-    trained = [run for outcome, _ in outcomes for run in outcome]
-    for (name, _, _), (model, history, panels) in zip(runs, trained):
+    for name, model, history, panels in runs:
         with _atomic_writer(out_dir / f"model_{name}.npz", "wb") as fh:
             np.savez(fh, **model.state())
         write_csv(out_dir / f"loss_{name}.csv", ["epoch", "loss"], enumerate(history, 1))

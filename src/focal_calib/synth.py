@@ -2,36 +2,35 @@
 
 A small, fully deterministic pipeline for studying confidence recovery
 where the true posterior is known analytically: sample a K-class 1-D
-Gaussian mixture, train a two-hidden-layer softmax MLP with the focal or
+Gaussian mixture, train two-hidden-layer softmax MLPs with the focal or
 cross-entropy loss by minibatch SGD (momentum + weight decay), several
 gammas at once in one lockstep loop over stacked weights, and report
 error rate, mean KL divergence to the analytic posterior over a grid, and
-expected calibration error, optionally after the recovery transform.
+expected calibration error: raw, temperature-scaled and recovered.
 
-Everything is seeded; identical seed, data and hyperparameters give
-bitwise-identical trained weights, whatever the stack a model trains in.
-So the ``synth`` command trains its runs in contiguous groups, one per
-CPU, each a lockstep stack in its own forked process, and its outputs are
-bit-identical to one process training every run.
+Everything is seeded; a model's trained weights depend only on its seed,
+data and hyperparameters, not on the stack it trains in.  So
+``run_experiment``, the library entry of the ``synth`` command, trains its
+runs in contiguous groups, one per CPU, each a lockstep stack in its own
+forked process, bit-identical to one process training every run.  The
+command writes its dataset and posterior and density panels before that.
 
-``MlpModel.predict_logits`` runs over fixed-size row blocks, so scoring
-holds two ``(_FORWARD_ROWS, hidden)`` activations and the ``(n_test, k)``
-rows derived from the logits: ``synth``'s memory grows with
-``n_test * k``, not with ``n_test * hidden``.  On 2 vCPUs the command's
-peak RSS, read with ``wait4`` by a launcher, is about 52 MB at the default
-config (146 MB with whole-batch forwards) and 193 MB at
-``n_test = 1000000`` (1,042 MB).
+``MlpModel.predict_logits`` runs over fixed-size row blocks, and a panel's
+test rows are built only when it runs, so memory grows with ``n_test * k``,
+not ``n_test * hidden``: on 2 vCPUs ``synth`` peaks at about 52 MB RSS at the
+default config and 155 MB at ``n_test = 1000000`` (``wait4``, by a launcher).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import softmax
+from .calibrate import apply_temperature, fit_temperature, softmax
 from .core import (
     CLAMP_EPS,
     _focal_terms,
@@ -41,6 +40,7 @@ from .core import (
     require_seed,
 )
 from .errors import DimensionError, DivergenceError, DomainError, EmptyDataError
+from .io import _cpu_count, _results
 from .metrics import PredictionSet, ScoreKind, error_rate, ece, kld_rows
 
 _GRAD_STEP = 1e-5          # central-difference step of grad_check
@@ -467,3 +467,93 @@ def evaluate_panel(
         ece=ece(preds, n_bins),
         grid_scores=q_grid,
     )
+
+
+def run_experiment(
+    dist: SyntheticDistribution, base_config: TrainConfig, gammas, train, val, test, grid, n_bins
+) -> list[tuple[str, MlpModel, list[float], list[tuple[str, PanelReport]]]]:
+    """Train the cross-entropy and focal runs and score their panels.
+
+    The runs are ``ce`` (gamma 0), then ``fl<g>`` for each of ``gammas``,
+    trained on the ``(x, y)`` pairs ``train`` with ``base_config`` at their
+    own gamma.  Each gets a ``_raw`` panel, and a focal run a ``_ts`` panel
+    (temperature fitted on ``val``) and a ``_psi`` panel (recovered at its
+    gamma), scored by ``evaluate_panel`` on ``grid`` and ``test`` with
+    ``n_bins`` bins.  The runs train in contiguous groups, one per CPU, each
+    a lockstep stack in its own forked process; the groups' warnings are
+    shown once each, group by group, and a divergence raises the
+    ``DivergenceError`` of one stack of all runs (the earliest epoch, then
+    the first run).  Returns ``(name, model, loss history, [(variant,
+    PanelReport), ...])`` per run, in run order.
+    """
+    n_bins = require_count(n_bins, "n_bins", 1)
+    # (run name, config, whether to add the _ts and _psi variants), all
+    # checked here, before any process is forked
+    runs = [("ce", replace(base_config, gamma=0.0), False)] + [
+        (f"fl{g:g}", replace(base_config, gamma=g), True) for g in gammas
+    ]
+    (x_train, y_train), (x_val, y_val), (x_test, y_test) = train, val, test
+    eta_grid = dist.posterior(grid)
+
+    def train_and_score(group):
+        # one lockstep stack of the runs, then every panel of each model.  A
+        # DivergenceError is returned, not raised, so that the caller can
+        # pick the one a stack of all runs raises; the warnings are shown by
+        # the caller too, in run order rather than as the workers print them
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                stack = train_mlp(x_train, y_train, [c for _, c, _ in group], k=dist.k)
+            except DivergenceError as exc:
+                outcome = exc
+            else:
+                outcome = [
+                    (name, model, history, score(model, name, config.gamma, focal))
+                    for (name, config, focal), (model, history) in zip(group, stack)
+                ]
+        return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    def score(model, name, gamma, focal):
+        # one forward per input set; every variant is derived from its
+        # logits, and each variant's test rows exist only while needed
+        grid_logits = model.predict_logits(grid)
+        test_logits = model.predict_logits(x_test)
+        q_grid, q_test = softmax(grid_logits), softmax(test_logits)
+        if focal:
+            val_set = PredictionSet(model.predict_logits(x_val), y_val, ScoreKind.LOGITS)
+            t = fit_temperature(val_set).temperature
+        else:
+            del test_logits
+
+        def panel(variant, on_grid, on_test, recovery_gamma=None):
+            report = evaluate_panel(on_grid, eta_grid, on_test, y_test, recovery_gamma, n_bins)
+            return name + variant, report
+
+        panels = [panel("_raw", q_grid, q_test)]
+        if focal:
+            ts_test = apply_temperature(test_logits, t)
+            del test_logits
+            panels.append(panel("_ts", apply_temperature(grid_logits, t), ts_test))
+            del ts_test
+            panels.append(panel("_psi", q_grid, q_test, gamma))
+        return panels
+
+    # contiguous groups of runs, one per CPU, each one job on the fork pool;
+    # a model's bits do not depend on the stack it trains in
+    n = min(_cpu_count(), len(runs))
+    groups = [(runs[len(runs) * i // n : len(runs) * (i + 1) // n],) for i in range(n)]
+    with _results(train_and_score, groups, n) as results:
+        outcomes = list(results)
+
+    # each warning once, as one process training every run shows it
+    shown = set()
+    for _, caught in outcomes:
+        for warning in caught:
+            if warning not in shown:
+                shown.add(warning)
+                warnings.showwarning(*warning)
+    diverged = [outcome for outcome, _ in outcomes if isinstance(outcome, DivergenceError)]
+    if diverged:
+        # the error of one stack of all runs: the earliest epoch, then the
+        # first run
+        raise min(diverged, key=lambda exc: exc.epoch)
+    return [run for outcome, _ in outcomes for run in outcome]

@@ -19,19 +19,16 @@ from focal_calib import (
     confidence_weight,
     cw_ece,
     default_distribution,
-    error_rate,
     fit_temperature,
     grad_check,
-    kld_rows,
     minimize_risk_inverse,
     minimize_risk_pg,
     nll,
     recover_binary,
     recover_posterior,
-    recover_posterior_rows,
     recovery_score,
+    run_experiment,
     thresholds,
-    train_mlp,
 )
 
 SWEEP_GAMMAS = (0.5, 1.0, 2.0, 3.0, 5.0)
@@ -202,42 +199,26 @@ def test_criterion_09_synthetic_reproduction():
     start = time.perf_counter()
     dist = default_distribution()
     seed = 123
-    x_train, y_train = dist.sample(10_000, seed)
-    x_test, y_test = dist.sample(100_000, seed + 1)
+    train = dist.sample(10_000, seed)
+    test = dist.sample(100_000, seed + 1)
+    # only the temperature-scaled panels use the validation draw
+    val = dist.sample(10_000, seed + 2)
     grid = np.linspace(-6.0, 6.0, 601)
     eta_grid = dist.posterior(grid)
 
-    def run(gamma):
-        config = TrainConfig(gamma=gamma, seed=seed)
-        model, _ = train_mlp(x_train, y_train, config, k=dist.k)
-        return model
+    runs = run_experiment(dist, TrainConfig(seed=seed), [5.0], train, val, test, grid, 10)
+    panels = {variant: panel for _, _, _, run_panels in runs for variant, panel in run_panels}
+    ce_raw, fl_raw, fl_psi = panels["ce_raw"], panels["fl5_raw"], panels["fl5_psi"]
 
-    model_ce = run(0.0)
-    model_fl = run(5.0)
+    kld_ce = ce_raw.mean_kld
+    kld_fl = fl_raw.mean_kld
 
-    kld_ce = float(kld_rows(eta_grid, model_ce.predict_proba(grid)).mean())
-    q_grid_fl = model_fl.predict_proba(grid)
-    kld_fl = float(kld_rows(eta_grid, q_grid_fl).mean())
-
-    conf = q_grid_fl.max(axis=1)
+    conf = fl_raw.grid_scores.max(axis=1)
     band = (conf > 0.55) & (conf < 0.95)
     uc_fraction = float((conf[band] < eta_grid.max(axis=1)[band]).mean())
 
-    q_test_fl = model_fl.predict_proba(x_test)
-    preds_raw = PredictionSet(q_test_fl, y_test)
-    ece_raw = bin_reliability(preds_raw, 10).ece
-    err_raw = error_rate(preds_raw)
-
-    recovered_grid = recover_posterior_rows(
-        q_grid_fl / q_grid_fl.sum(axis=1, keepdims=True), 5.0
-    )
-    recovered_test = recover_posterior_rows(
-        q_test_fl / q_test_fl.sum(axis=1, keepdims=True), 5.0
-    )
-    kld_rec = float(kld_rows(eta_grid, recovered_grid).mean())
-    preds_rec = PredictionSet(recovered_test, y_test)
-    ece_rec = bin_reliability(preds_rec, 10).ece
-    err_rec = error_rate(preds_rec)
+    ece_raw, err_raw = fl_raw.ece, fl_raw.err
+    kld_rec, ece_rec, err_rec = fl_psi.mean_kld, fl_psi.ece, fl_psi.err
     elapsed = time.perf_counter() - start
 
     ok = (

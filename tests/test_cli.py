@@ -542,7 +542,7 @@ class TestSynthOnCpus:
     def test_earliest_divergence_wins(self, tmp_path, monkeypatch, capsys, fake_epochs, expected):
         # runs ce, fl5, fl1: ce trains, the fl runs diverge at the given
         # epochs; the error is the earliest epoch's, on a tie the first run's
-        real_train = focal_calib.cli.train_mlp
+        real_train = focal_calib.synth.train_mlp
 
         def train(x, y, configs, k):
             bad = [c.gamma for c in configs if c.gamma in fake_epochs]
@@ -552,7 +552,7 @@ class TestSynthOnCpus:
                 raise focal_calib.DivergenceError(f"diverged at gamma={first:g}", epoch)
             return real_train(x, y, configs, k=k)
 
-        monkeypatch.setattr(focal_calib.cli, "train_mlp", train)
+        monkeypatch.setattr(focal_calib.synth, "train_mlp", train)
         argv = ["synth", *self.SMALL, "--set", "gammas=[5, 1]"]
         for cpus in (3, 1):
             code, _, err, _, files = self._run(tmp_path, monkeypatch, capsys, cpus, argv)

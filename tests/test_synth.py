@@ -1,8 +1,11 @@
 """Synthetic mixture, MLP training, gradient checks, panel evaluation."""
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from focal_calib import (
     default_distribution,
     evaluate_panel,
     grad_check,
+    run_experiment,
     train_mlp,
 )
 from focal_calib.synth import _FORWARD_ROWS as B
@@ -384,3 +388,42 @@ class TestEvaluatePanel:
         assert rec.mean_kld < raw.mean_kld
         assert rec.err == raw.err
         np.testing.assert_array_equal(raw.grid_scores, q_grid)
+
+
+class TestRunExperiment:
+    @pytest.fixture
+    def get_context(self, monkeypatch):
+        # 3 CPUs, with the fork-pool starts counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        real = multiprocessing.get_context
+        with mock.patch.object(multiprocessing, "get_context", wraps=real) as spy:
+            yield spy
+
+    @staticmethod
+    def _run(gammas, n_bins=10):
+        dist = default_distribution()
+        sets = [dist.sample(200, seed) for seed in (1, 2, 3)]
+        config = TrainConfig(epochs=1, hidden=8, seed=4)
+        return run_experiment(dist, config, gammas, *sets, np.linspace(-6, 6, 21), n_bins)
+
+    def test_runs_and_panels_in_order(self, get_context):
+        runs = self._run([1.0, 2.5])
+        get_context.assert_called_once_with("fork")
+        assert [name for name, _, _, _ in runs] == ["ce", "fl1", "fl2.5"]
+        assert [[variant for variant, _ in panels] for _, _, _, panels in runs] == [
+            ["ce_raw"],
+            ["fl1_raw", "fl1_ts", "fl1_psi"],
+            ["fl2.5_raw", "fl2.5_ts", "fl2.5_psi"],
+        ]
+        for _, model, history, _ in runs:
+            assert isinstance(model, MlpModel) and len(history) == 1
+
+    @pytest.mark.parametrize(
+        "gammas, n_bins, message",
+        [([1.0, -1.0], 10, "gamma"), ([1.0], 0, "n_bins")],
+        ids=["negative_gamma", "zero_bins"],
+    )
+    def test_bad_input_raises_before_any_pool(self, get_context, gammas, n_bins, message):
+        with pytest.raises(DomainError, match=message):
+            self._run(gammas, n_bins)
+        get_context.assert_not_called()
