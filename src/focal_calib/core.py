@@ -69,6 +69,25 @@ def require_gamma(gamma: float) -> float:
     return g
 
 
+def _gamma_rows(gamma, n: int):
+    # gamma as a checked float, or a 1-D array of n of them as an (n, 1) column
+    arr = np.asarray(gamma, dtype=float)
+    if arr.ndim == 0:
+        return require_gamma(gamma)
+    if arr.shape != (n,):
+        raise DimensionError(f"expected one gamma per row, shape ({n},), got shape {arr.shape}")
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr < np.inf)))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"gamma must be a finite value >= 0, got {float(arr[i])!r} in row {i}")
+    return arr[:, None]
+
+
+def _gamma_of(g, index):
+    # the gammas of the rows at index, for a g from _gamma_rows
+    return g[index] if isinstance(g, np.ndarray) else g
+
+
 def require_count(value, name: str, minimum: int, unit: str = "") -> int:
     """Validate a count argument, such as a class or grid size; return an int.
 
@@ -262,25 +281,32 @@ def is_uniform_on_support(p) -> bool:
     return bool(_fixed_rows(as_simplex(p)[None, :])[0])
 
 
-def _recover_rows(rows: np.ndarray, g: float) -> np.ndarray:
+def _recover_rows(rows: np.ndarray, g) -> np.ndarray:
     # the recovery transform, in place, on a fresh copy of validated rows
-    # clipped into [0, 1].  Blocks of about _BLOCK entries keep the
-    # temporaries small.  Each row is shifted by the log score of its top
-    # entry, its largest up to rounding, before the exp, so no row under-
-    # or overflows.
-    if g == 0.0:
+    # clipped into [0, 1], at a float g or a column of one g per row (rows
+    # at g == 0 are left as they are).  Blocks of about _BLOCK entries keep
+    # the temporaries small.  Each row is shifted by the log score of its
+    # top entry, its largest up to rounding, before the exp, so no row
+    # under- or overflows.
+    per_row = isinstance(g, np.ndarray)
+    if not per_row and g == 0.0:
         return rows
     step = max(1, _BLOCK // rows.shape[1])
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
         general = ~_fixed_rows(block)
+        if per_row:
+            gb = g[start : start + step]
+            general &= gb[:, 0] > 0.0
         if not general.any():
             continue
         sub = block[general]
         positive = sub > 0.0
         top = sub.argmax(axis=1)
         logs = np.full_like(sub, -np.inf)
-        logs[positive] = _log_score(sub[positive], g)
+        # a g per row is spread to the positive entries it scores
+        gs = np.broadcast_to(gb[general], sub.shape)[positive] if per_row else g
+        logs[positive] = _log_score(sub[positive], gs)
         logs -= logs[np.arange(top.size), top][:, None]
         scores = np.exp(logs, out=logs)
         scores /= scores.sum(axis=1, keepdims=True)
@@ -313,14 +339,17 @@ def recover_posterior(p, gamma: float) -> np.ndarray:
     return _recover_rows(as_simplex(p)[None, :], g)[0]
 
 
-def recover_posterior_rows(rows, gamma: float) -> np.ndarray:
+def recover_posterior_rows(rows, gamma: float | np.ndarray) -> np.ndarray:
     """:func:`recover_posterior` applied to each row of an ``(n, k)`` stack.
 
     Rows are validated at ``SIMPLEX_TOL``; an invalid row raises
-    ``InvalidSimplexError`` naming its index.
+    ``InvalidSimplexError`` naming its index.  ``gamma`` is a float or a
+    1-D array of one per row, each row bit-equal to the call at its gamma
+    (rows at 0 come out as they went in); a gamma array of the wrong shape
+    raises ``DimensionError``, one with NaN, inf or a value < 0 ``DomainError``.
     """
-    g = require_gamma(gamma)
     arr = validate_simplex_rows(rows, SIMPLEX_TOL)
+    g = _gamma_rows(gamma, arr.shape[0])
     return _recover_rows(np.clip(arr, 0.0, 1.0), g)
 
 

@@ -25,6 +25,11 @@ provided:
   the simplex, so the method is projected gradient in the entropy's
   geometry; no Euclidean projection is used.
 
+Both take ``gamma`` as a float or a 1-D array of one per row.  Rows are
+solved independently, in blocks of about ``core._BLOCK`` entries, each
+with its own gamma, so a row's ``q_star`` is bit-equal to the call at that
+gamma; ``iterations`` and ``residual`` are the largest, as over those calls.
+
 Agreement between the two is the main numerical cross-check of the
 recovery transform: applying ``recover_posterior`` to either solution
 reproduces ``eta``.
@@ -59,6 +64,9 @@ class RiskMinimizerResult:
     For a single posterior ``q_star`` is a vector and ``risk``, its
     :func:`focal_calib.core.focal_loss` against the posterior, a float; for
     an ``(n, k)`` stack they are an ``(n, k)`` array and an ``(n,)`` array.
+    With a gamma per row, a row's ``risk`` may differ from the call at its
+    own gamma by an ulp: numpy's ``power`` takes shortcuts for some scalar
+    exponents that an array of them does not.
     ``iterations`` (an ``int``) and ``residual`` (a ``float``) are the
     solver's own measures, the largest over the rows: Newton steps and
     the simplex-sum defect for the inverse solver, iterations and the
@@ -71,9 +79,10 @@ class RiskMinimizerResult:
     residual: float
 
 
-def _newton_rows(eta: np.ndarray, g: float, counts=1.0) -> tuple[np.ndarray, int, float]:
+def _newton_rows(eta: np.ndarray, g, counts=1.0) -> tuple[np.ndarray, int, float]:
     """Solve ``log s_g(q_i) = log c + log eta_i``, ``sum(counts * q) = 1`` per row.
 
+    ``g`` is a float or a column of one g per row (``core._gamma_rows``).
     Rows need ``g > 0`` and at least two positive entries; entries with
     ``eta_i == 0`` get ``q_i == 0`` exactly.  The unknowns are the logits
     ``x_i = log(q_i / (1 - q_i))``, in which ``log s_g`` runs from slope 1
@@ -106,7 +115,7 @@ def _newton_rows(eta: np.ndarray, g: float, counts=1.0) -> tuple[np.ndarray, int
     support = eta > 0.0
     log_eta = np.log(np.where(support, eta, 1.0))
     m = np.where(support, counts, 0.0).sum(axis=1)
-    anchor = core._log_score(1.0 / m, g)
+    anchor = core._log_score(1.0 / m[:, None], g)[:, 0]
     t_lo = anchor - np.log(np.where(support, eta, 0.0).max(axis=1))
     t_hi = anchor - np.log(np.where(support, eta, np.inf).min(axis=1))
     # start from eta flattened to the power 1 / (1 + g), the two-class
@@ -123,13 +132,13 @@ def _newton_rows(eta: np.ndarray, g: float, counts=1.0) -> tuple[np.ndarray, int
     rows = np.arange(eta.shape[0])
     steps, residual, tol = 0, 0.0, _SUM_TOL
     while True:
-        sup, xs, ts = support[rows], x[rows], t[rows]
+        sup, xs, ts, gs = support[rows], x[rows], t[rows], core._gamma_of(g, rows)
         # q = 1 / (1 + exp(-x)), with no overflow at either end
         q = np.where(sup, np.exp(-np.logaddexp(0.0, -xs)).clip(_Q_MIN, _Q_MAX), 0.5)
         om = 1.0 - q
         log_q = np.log(q)
-        slope = om + g * q - g * q * (q - 1.0 - log_q) / (om + g * q * -log_q)
-        r = np.where(sup, core._log_score(q, g) - ts[:, None] - log_eta[rows], 0.0)
+        slope = om + gs * q - gs * q * (q - 1.0 - log_q) / (om + gs * q * -log_q)
+        r = np.where(sup, core._log_score(q, gs) - ts[:, None] - log_eta[rows], 0.0)
         w = np.where(sup, q * om / slope, 0.0)
         defect = np.where(sup, counts * q, 0.0).sum(axis=1) - 1.0
         stationary = (w * np.abs(r)).max(axis=1) <= _STEP_TOL
@@ -159,20 +168,32 @@ def _newton_rows(eta: np.ndarray, g: float, counts=1.0) -> tuple[np.ndarray, int
         t[rows] = t_new
 
 
-def _posterior_rows(eta) -> tuple[np.ndarray, bool]:
-    # eta as a checked (n, k) stack clipped into [0, 1], and whether it was one vector
+def _minimize(solve, eta, gamma, at_zero: bool) -> RiskMinimizerResult:
+    # eta checked and clipped into [0, 1].  A one-class row gets its one-hot
+    # vector, a row at g == 0 keeps eta unless at_zero, and solve(rows, g)
+    # takes the other rows in blocks of about core._BLOCK entries, which
+    # keeps the temporaries small; rows are independent, so no bit changes
     arr = np.asarray(eta, dtype=float)
-    return validate_simplex_rows(np.atleast_2d(arr), SIMPLEX_TOL).clip(0.0, 1.0), arr.ndim == 1
-
-
-def _result(q, eta, g, single, iterations, residual) -> RiskMinimizerResult:
-    risk = core._row_risks(q, eta, g)
-    if single:
+    ee = validate_simplex_rows(np.atleast_2d(arr), SIMPLEX_TOL).clip(0.0, 1.0)
+    g = core._gamma_rows(gamma, ee.shape[0])
+    support, q = ee > 0.0, ee.copy()
+    solved = np.ravel(g > 0.0) | at_zero
+    one_class = (support.sum(axis=1) == 1) & solved
+    q[one_class] = support[one_class]
+    general = np.flatnonzero(solved & ~one_class)
+    iterations, residual = 0, 0.0
+    step = max(1, core._BLOCK // ee.shape[1])
+    for start in range(0, general.size, step):
+        rows = general[start : start + step]
+        q[rows], its, res = solve(ee[rows], core._gamma_of(g, rows))
+        iterations, residual = max(iterations, its), max(residual, res)
+    risk = core._row_risks(q, ee, g)
+    if arr.ndim == 1:
         return RiskMinimizerResult(q[0], float(risk[0]), iterations, residual)
     return RiskMinimizerResult(q, risk, iterations, residual)
 
 
-def minimize_risk_inverse(eta, gamma: float) -> RiskMinimizerResult:
+def minimize_risk_inverse(eta, gamma: float | np.ndarray) -> RiskMinimizerResult:
     """Minimize the pointwise risk by solving the stationarity condition.
 
     ``eta`` is one posterior or an ``(n, k)`` stack of them, each solved
@@ -184,22 +205,14 @@ def minimize_risk_inverse(eta, gamma: float) -> RiskMinimizerResult:
     ``residual`` is the largest such defect.  A row still short of that
     after a fixed number of steps is kept if its defect is at most 1e-9;
     otherwise ``ConvergenceError`` is raised.
+    ``gamma`` is a float or one per row (see the module docstring); a gamma
+    array of the wrong shape raises ``DimensionError`` and one holding NaN,
+    inf or a negative value ``DomainError``, before any solve.
     """
-    g = require_gamma(gamma)
-    ee, single = _posterior_rows(eta)
-    q = ee.copy()
-    iterations, residual = 0, 0.0
-    if g > 0.0:
-        support = ee > 0.0
-        one_class = support.sum(axis=1) == 1
-        q[one_class] = support[one_class]
-        general = ~one_class
-        if general.any():
-            q[general], iterations, residual = _newton_rows(ee[general], g)
-    return _result(q, ee, g, single, iterations, residual)
+    return _minimize(_newton_rows, eta, gamma, at_zero=False)
 
 
-def _scaled_gradient(q: np.ndarray, log_q: np.ndarray, log_eta: np.ndarray, g: float):
+def _scaled_gradient(q: np.ndarray, log_q: np.ndarray, log_eta: np.ndarray, g):
     """Risk gradient at an iterate, divided per row by its largest head.
 
     With ``head_i = eta_i (1 - q_i)^g`` (``1 - q_i`` floored at
@@ -230,7 +243,7 @@ def _mirror_step(log_q, grad, step, support):
     return np.where(support, np.exp(log_c), 0.0), log_c
 
 
-def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
+def _mirror_rows(eta: np.ndarray, g) -> tuple[np.ndarray, int, float]:
     """Entropic mirror descent for rows with at least two positive entries.
 
     Each iterate is ``q <- q * exp(-s * grad W)`` normalized, the KL
@@ -270,6 +283,7 @@ def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
             residual = max(residual, float(spread[done].max()))
             keep = ~done
             rows, log_eta, support = rows[keep], log_eta[keep], support[keep]
+            g = core._gamma_of(g, keep)
             q, log_q, grad = q[keep], log_q[keep], grad[keep]
             spread, step = spread[keep], step[keep]
         if rows.size == 0:
@@ -287,7 +301,7 @@ def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
             # that its gradient overflows to -inf; the test then reads NaN
             # and rejects it
             with np.errstate(over="ignore", invalid="ignore"):
-                gc = _scaled_gradient(qc, lc, log_eta[pending], g)
+                gc = _scaled_gradient(qc, lc, log_eta[pending], core._gamma_of(g, pending))
                 centred = gc - (qc * gc).sum(axis=1, keepdims=True)
                 ok = (centred * d).sum(axis=1) <= 0.0
             still = np.abs(d).max(axis=1) <= _MOVE_TOL
@@ -299,7 +313,7 @@ def _mirror_rows(eta: np.ndarray, g: float) -> tuple[np.ndarray, int, float]:
         spread = _spread(grad, support)
 
 
-def minimize_risk_pg(eta, gamma: float) -> RiskMinimizerResult:
+def minimize_risk_pg(eta, gamma: float | np.ndarray) -> RiskMinimizerResult:
     """Minimize the pointwise risk by entropic mirror descent.
 
     The first-order oracle of the module docstring: a row keeps a step
@@ -313,18 +327,10 @@ def minimize_risk_pg(eta, gamma: float) -> RiskMinimizerResult:
     when its iterate stops moving in float64; ``residual`` is the largest
     spread reached and ``iterations`` the largest iteration count.
     Raises ``ConvergenceError`` carrying the residual when a row is still
-    running after 100,000 iterations.
+    running after 100,000 iterations.  ``gamma`` is as for
+    :func:`minimize_risk_inverse`, and a row at 0 is solved like any other.
     """
-    g = require_gamma(gamma)
-    ee, single = _posterior_rows(eta)
-    support = ee > 0.0
-    m = support.sum(axis=1, keepdims=True)
-    q = support / m
-    iterations, residual = 0, 0.0
-    general = m[:, 0] > 1
-    if general.any():
-        q[general], iterations, residual = _mirror_rows(ee[general], g)
-    return _result(q, ee, g, single, iterations, residual)
+    return _minimize(_mirror_rows, eta, gamma, at_zero=True)
 
 
 def confidence_curve(k: int, gamma: float, grid_size: int = 100) -> list[tuple[float, float]]:

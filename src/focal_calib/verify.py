@@ -7,9 +7,9 @@ on: the recovery round trip, agreement of the two independent risk
 minimizers, threshold ordering, the guaranteed over/underconfidence
 regions, fixed points, argmax preservation, the shape of the weight
 curve, monotonicity of the score map, and a finite, normalized recovery
-at large ``gamma``.  Randomized rows are stacked per gamma and each
-stack goes through the solvers and the transform in one call.  A
-check's worst residual is one numpy max, so a NaN residual fails it.
+at large ``gamma``.  Five checks share one draw, one stack with a gamma
+per row that each solver and the transform take in one call.  A check's
+worst residual is one numpy max, so a NaN residual fails it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import is_uniform_on_support, recover_binary, recover_posterior, recover_posterior_rows
+from .core import recover_binary, recover_posterior, recover_posterior_rows
 from .errors import DomainError
 from .minimizer import minimize_risk_inverse, minimize_risk_pg
 from .thresholds import _DIRECTION_EPS, thresholds
@@ -85,7 +85,7 @@ def _simplex_with_max(rng: np.random.Generator, k: int, top: float) -> np.ndarra
             rest = rng.dirichlet(np.ones(k - 1)) * (1.0 - top)
             if rest.max() < top:
                 p = np.concatenate([[top], rest])
-                if not is_uniform_on_support(p):
+                if not core._fixed_rows(p[None])[0]:
                     return p
         k *= 2
 
@@ -103,44 +103,42 @@ def _draw_checks(rng, gammas, ks, n: int, n_oracle: int) -> tuple[VerifyCheck, .
     """Round trip, solver agreement, argmax, order and gamma = 0 checks on one draw.
 
     The ``n`` posteriors are Dirichlet(1, ..., 1) over a k drawn from
-    ``ks``.  Each gamma's stack is zero-padded to its largest k (classes
-    with ``eta_i == 0``, which every solver keeps at exactly 0) and solved
-    once by the inverse solver; the oracle solves the draw's first ``n_oracle``.
+    ``ks``, each with a gamma drawn from ``gammas``.  They form one stack,
+    zero-padded to the largest k (classes with ``eta_i == 0``, which every
+    solver keeps at exactly 0), with a gamma per row.  The inverse solver
+    solves it once and the oracle solves its first ``n_oracle`` rows.
     """
-    groups = _by_gamma(rng, gammas, n)
+    picks = rng.choice(np.asarray(gammas), n)
     k = rng.choice(ks, n)
-    draws = rng.standard_exponential((n, k.max()))
-    draws[np.arange(k.max()) >= k[:, None]] = 0.0
-    draws /= draws.sum(axis=1, keepdims=True)
-    trip, agree, identity = [], [], []
-    iterations, residual, flipped, disordered = 0, 0.0, 0, 0
-    for gamma, index in groups:
-        etas = draws[index, : k[index].max()]
-        q = minimize_risk_inverse(etas, gamma).q_star
-        trip.append(np.abs(recover_posterior_rows(q, gamma) - etas))
-        first = index < n_oracle
-        if first.any():
-            oracle = minimize_risk_pg(etas[first], gamma)
-            agree.append(np.abs(q[first] - oracle.q_star))
-            iterations = max(iterations, oracle.iterations)
-            residual = max(residual, oracle.residual)
-        top = etas.argmax(axis=1)
-        flipped += np.count_nonzero(recover_posterior_rows(etas, gamma).argmax(axis=1) != top)
-        # q_i < q_j must imply eta_i < eta_j: sorted by eta, a row of q never
-        # falls and is constant across ties in eta (padded zeros tie in both)
-        by_eta = etas.argsort(axis=1)
-        dq = np.diff(np.take_along_axis(q, by_eta, axis=1), axis=1)
-        de = np.diff(np.take_along_axis(etas, by_eta, axis=1), axis=1)
-        ordered = np.all((dq >= 0.0) & ((de > 0.0) | (dq == 0.0)), axis=1)
-        disordered += np.count_nonzero(~ordered | (q.argmax(axis=1) != top))
-        # at gamma = 0 the inverse solver returns eta as it is, with no Newton step
-        identity.append(np.abs(recover_posterior_rows(etas, 0.0) - etas))
-        identity.append(np.abs(minimize_risk_inverse(etas, 0.0).q_star - etas))
+    etas = rng.standard_exponential((n, k.max()))
+    etas[np.arange(k.max()) >= k[:, None]] = 0.0
+    etas /= etas.sum(axis=1, keepdims=True)
+    # residuals are reduced to their max at once: no whole-draw array outlives its step
+    inverse = minimize_risk_inverse(etas, picks)
+    q = inverse.q_star
+    trip = np.abs(recover_posterior_rows(q, picks) - etas).max()
+    oracle = minimize_risk_pg(etas[:n_oracle], picks[:n_oracle])
+    agree = np.abs(q[:n_oracle] - oracle.q_star).max()
+    top = etas.argmax(axis=1)
+    flipped = np.count_nonzero(recover_posterior_rows(etas, picks).argmax(axis=1) != top)
+    # at gamma = 0 the inverse solver returns eta as it is, with no Newton step
+    identity = [np.abs(recover_posterior_rows(etas, 0.0) - etas).max()]
+    identity.append(np.abs(minimize_risk_inverse(etas, 0.0).q_star - etas).max())
+    # q_i < q_j must imply eta_i < eta_j: sorted by eta, a row of q never
+    # falls and is constant across ties in eta (padded zeros tie in both)
+    by_eta = etas.argsort(axis=1)
+    dq = np.diff(np.take_along_axis(q, by_eta, axis=1), axis=1)
+    de = np.diff(np.take_along_axis(etas, by_eta, axis=1), axis=1)
+    ordered = np.all((dq >= 0.0) & ((de > 0.0) | (dq == 0.0)), axis=1)
+    disordered = np.count_nonzero(~ordered | (q.argmax(axis=1) != top))
     return (
-        _check("recovery_round_trip", n, trip, 1e-7),
         _check(
-            "solver_agreement", n_oracle, agree, 1e-5,
-            f"oracle iterations={iterations} residual={residual:.1e}",
+            "recovery_round_trip", n, [trip], 1e-7,
+            f"newton iterations={inverse.iterations} residual={inverse.residual:.1e}",
+        ),
+        _check(
+            "solver_agreement", n_oracle, [agree], 1e-5,
+            f"oracle iterations={oracle.iterations} residual={oracle.residual:.1e}",
         ),
         _check("argmax_preserved", n, [flipped], 1.0),
         _check(
@@ -262,16 +260,22 @@ def _check_fixed_points(rng, ks, gammas, n) -> VerifyCheck:
     return _check("fixed_points", n, diffs, 1e-9)
 
 
+def _weight_grid(grid_size: int) -> np.ndarray:
+    # log-spaced points toward 0 too: from gamma ~ 1e5 the maximum, at tau_oc,
+    # lies inside the linear grid's first step (8.6e-7 at 1e6).  They end at
+    # exactly 1e-9, where the linear grid starts, so the two join in order
+    log_grid = np.geomspace(1e-300, 1e-9, 3000)[:-1]
+    return np.concatenate([log_grid, np.linspace(1e-9, 1.0 - 1e-9, grid_size)])
+
+
 def _check_weight_curve_shape(gammas, grid_size=100_000) -> VerifyCheck:
-    # log-spaced points toward 0 too: from gamma ~ 1e5 the maximum, at
-    # tau_oc, lies inside the linear grid's first step (8.6e-7 at 1e6)
-    grid = np.linspace(1e-9, 1.0 - 1e-9, grid_size)
-    grid = np.union1d(grid, np.geomspace(1e-300, 1e-9, 3000))
+    grid = _weight_grid(grid_size)
     ok, residuals = True, []
     for gamma in gammas:
         residuals += [abs(core.confidence_weight(0.0, gamma) - 1.0)]
         residuals += [abs(core.confidence_weight(1.0, gamma))]
-        values = np.asarray(core.confidence_weight(grid, gamma))
+        # confidence_weight inside (0, 1), where the grid lies, less its checks
+        values = np.exp(core._log_weight(grid, gamma))
         diffs = np.diff(values)
         # drop sub-noise differences before counting sign flips
         signs = np.sign(diffs[np.abs(diffs) > 1e-14 * np.abs(values).max()])

@@ -44,6 +44,8 @@ class TestRunVerify:
         assert "PASS" in table
         (line,) = [row for row in table.splitlines() if "solver_agreement" in row]
         assert re.search(r"\[oracle iterations=[1-9]\d* residual=\d\.\de[-+]\d\d\]$", line)
+        (line,) = [row for row in table.splitlines() if "recovery_round_trip" in row]
+        assert re.search(r"\[newton iterations=[1-9]\d* residual=\d\.\de[-+]\d\d\]$", line)
 
     def test_corrupted_kernels_fail_checks(self, monkeypatch):
         # negative control.  The log weight kernel loses its log1p bracket
@@ -148,15 +150,15 @@ class TestRunVerify:
         inverse = verify.minimize_risk_inverse
 
         def counting(eta, gamma, *args, **kwargs):
-            if gamma > 0.0:
-                solved_rows.append(np.atleast_2d(eta).shape[0])
+            if np.any(np.asarray(gamma) > 0.0):
+                solved_rows.append((np.atleast_2d(eta).shape[0], np.unique(gamma).size))
             return inverse(eta, gamma, *args, **kwargs)
 
         monkeypatch.setattr(verify, "minimize_risk_inverse", counting)
         report = run_verify(n_random=60, seed=6)
         assert report.all_passed
-        # one call per gamma group, every drawn posterior in exactly one of them
-        assert sum(solved_rows) == 60 and len(solved_rows) <= len(verify.DEFAULT_GAMMAS)
+        # one call for the whole draw, with every gamma in it, one per row
+        assert solved_rows == [(60, len(verify.DEFAULT_GAMMAS))]
         samples = {c.name: c.samples for c in report.checks}
         assert samples["solver_agreement"] == 20 and samples["order_preserving"] == 60
 
@@ -165,6 +167,14 @@ class TestRunVerify:
         # the maximum, at tau_oc, lies inside the linear grid's first step
         assert thresholds(gamma).tau_oc < 1e-5
         assert verify._check_weight_curve_shape([gamma]).passed
+
+    def test_weight_grid_joins_the_log_grid_at_its_end(self):
+        # the log-spaced grid ends exactly where the linear grid starts, so
+        # dropping that point joins the two as union1d would, without a sort
+        log_grid = np.geomspace(1e-300, 1e-9, 3000)
+        assert log_grid[-1] == 1e-9
+        linear = np.linspace(1e-9, 1.0 - 1e-9, 100_000)
+        np.testing.assert_array_equal(verify._weight_grid(100_000), np.union1d(linear, log_grid))
 
     def test_region_blocks_do_not_change_the_table(self, monkeypatch):
         expected = run_verify(seed=7).format_table()
