@@ -81,7 +81,7 @@ def _cmd_thresholds(args) -> int:
     print(f"tau_oc={pair.tau_oc:.12f}")
     print(f"tau_uc={pair.tau_uc:.12f}")
     out = args.curve_out or f"weight_curve_gamma{args.gamma:g}.csv"
-    write_csv(out, ["v", "weight"], zip(v, w))
+    write_csv(out, ["v", "weight"], zip(v.tolist(), w.tolist()))
     print(f"wrote {out}")
     return EXIT_OK
 

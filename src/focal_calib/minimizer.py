@@ -171,8 +171,9 @@ def _newton_rows(eta: np.ndarray, g, counts=1.0) -> tuple[np.ndarray, int, float
 def _minimize(solve, eta, gamma, at_zero: bool) -> RiskMinimizerResult:
     # eta checked and clipped into [0, 1].  A one-class row gets its one-hot
     # vector, a row at g == 0 keeps eta unless at_zero, and solve(rows, g)
-    # takes the other rows in blocks of about core._BLOCK entries, which
-    # keeps the temporaries small; rows are independent, so no bit changes
+    # takes the other rows in blocks of about core._BLOCK entries, as the
+    # risk takes every row, which keeps the temporaries small; rows are
+    # independent, so no bit changes
     arr = np.asarray(eta, dtype=float)
     ee = validate_simplex_rows(np.atleast_2d(arr), SIMPLEX_TOL).clip(0.0, 1.0)
     g = core._gamma_rows(gamma, ee.shape[0])
@@ -187,7 +188,10 @@ def _minimize(solve, eta, gamma, at_zero: bool) -> RiskMinimizerResult:
         rows = general[start : start + step]
         q[rows], its, res = solve(ee[rows], core._gamma_of(g, rows))
         iterations, residual = max(iterations, its), max(residual, res)
-    risk = core._row_risks(q, ee, g)
+    risk = np.empty(ee.shape[0])
+    for start in range(0, ee.shape[0], step):
+        rows = slice(start, start + step)
+        risk[rows] = core._row_risks(q[rows], ee[rows], core._gamma_of(g, rows))
     if arr.ndim == 1:
         return RiskMinimizerResult(q[0], float(risk[0]), iterations, residual)
     return RiskMinimizerResult(q, risk, iterations, residual)

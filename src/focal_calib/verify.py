@@ -8,8 +8,9 @@ minimizers, threshold ordering, the guaranteed over/underconfidence
 regions, fixed points, argmax preservation, the shape of the weight
 curve, monotonicity of the score map, and a finite, normalized recovery
 at large ``gamma``.  Five checks share one draw, one stack with a gamma
-per row that each solver and the transform take in one call.  A check's
-worst residual is one numpy max, so a NaN residual fails it.
+per row that each solver and the transform take in one call, and the
+weight-curve and score-map checks one grid and one kernel pass per gamma.
+A check's worst residual is one numpy max, so a NaN residual fails it.
 """
 
 from __future__ import annotations
@@ -268,29 +269,37 @@ def _weight_grid(grid_size: int) -> np.ndarray:
     return np.concatenate([log_grid, np.linspace(1e-9, 1.0 - 1e-9, grid_size)])
 
 
-def _check_weight_curve_shape(gammas, grid_size=100_000) -> VerifyCheck:
+def _rises_then_falls(diffs: np.ndarray, noise: float) -> bool:
+    # the signs of the differences past noise run + ... + - ... -: there is
+    # a fall, a rise before the first fall f and no rise from f on
+    rise, fall = diffs > noise, diffs < -noise
+    f = int(fall.argmax())
+    return bool(fall[f] and rise[:f].any() and not rise[f:].any())
+
+
+def _check_weight_and_score(gammas, grid_size=100_000) -> tuple[VerifyCheck, VerifyCheck]:
+    """The weight curve's shape and the score map's rise, from one kernel pass per gamma."""
     grid = _weight_grid(grid_size)
-    ok, residuals = True, []
+    log_v = np.log(grid)
+    shape_ok, monotone_ok, residuals = True, True, []
     for gamma in gammas:
         residuals += [abs(core.confidence_weight(0.0, gamma) - 1.0)]
         residuals += [abs(core.confidence_weight(1.0, gamma))]
         # confidence_weight inside (0, 1), where the grid lies, less its checks
-        values = np.exp(core._log_weight(grid, gamma))
-        diffs = np.diff(values)
-        # drop sub-noise differences before counting sign flips
-        signs = np.sign(diffs[np.abs(diffs) > 1e-14 * np.abs(values).max()])
-        flips = int(np.count_nonzero(np.diff(signs)))
-        ok &= flips == 1 and signs[0] > 0 and signs[-1] < 0
+        log_w = core._log_weight(grid, gamma)
+        values = np.exp(log_w)
+        shape_ok &= _rises_then_falls(np.diff(values), 1e-14 * values.max())
+        # core._log_score, which stays finite where s_g overflows at large gamma
+        monotone_ok &= bool(np.all(np.diff(log_v - log_w) > 0.0))
+    samples = grid.size * len(gammas)
     detail = "endpoints 1 and 0; derivative changes sign exactly once"
-    return _check("weight_curve_shape", grid.size * len(gammas), residuals, 1e-12, detail, ok)
-
-
-def _check_score_monotone(gammas, grid_size=100_000) -> VerifyCheck:
-    # checked on log s_g, which stays finite where s_g overflows at large gamma
-    grid = np.linspace(1e-9, 1.0 - 1e-6, grid_size)
-    ok = all(np.all(np.diff(core._log_score(grid, gamma)) > 0.0) for gamma in gammas)
-    detail = "strictly increasing on a dense grid"
-    return _check("score_monotone", grid_size * len(gammas), [float(not ok)], 1.0, detail)
+    return (
+        _check("weight_curve_shape", samples, residuals, 1e-12, detail, shape_ok),
+        _check(
+            "score_monotone", samples, [float(not monotone_ok)], 1.0,
+            "strictly increasing on a dense grid",
+        ),
+    )
 
 
 def _check_low_confidence_witness() -> VerifyCheck:
@@ -327,12 +336,12 @@ def run_verify(
     rng = np.random.default_rng(seed)
     n_draw, n_few = max(n_random, 20), max(20, n_random // 4)
     trip, agree, argmax, order, identity = _draw_checks(rng, gammas, ks, n_draw, n_few)
+    shape, monotone = _check_weight_and_score(gammas)
     return VerifyReport((
         trip, agree, _check_threshold_ordering(gammas),
         _check_region_consistency(rng, gammas, ks, n_few),
         _check_high_confidence_underestimates(rng, gammas, ks, n_random),
         _check_binary_closed_form(rng, gammas, n_random), _check_large_gamma_recovery(),
         _check_fixed_points(rng, ks, gammas, n_random), argmax, order,
-        _check_weight_curve_shape(gammas), _check_score_monotone(gammas),
-        _check_low_confidence_witness(), identity,
+        shape, monotone, _check_low_confidence_witness(), identity,
     ))

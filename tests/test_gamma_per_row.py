@@ -152,8 +152,10 @@ class TestBadGammaArrays:
 
 class TestBlockedSolve:
     def test_mixed_stack_memory_is_bounded(self, monkeypatch):
-        # a 1000 x 1000 mixed-gamma stack: the row blocks of the solve peak
-        # at about 42 MB traced, the whole stack at once at about 129 MB
+        # a 1000 x 1000 mixed-gamma stack: the row blocks of the solve and
+        # of the risk peak at about 26.5 MB traced (42.1 MB with the risk
+        # over the whole stack in one pass), the whole stack at once at
+        # about 129 MB
         rng = np.random.default_rng(3)
         etas = rng.dirichlet(np.ones(1000), size=1000)
         gammas = rng.choice([0.0, 0.5, 2.0, 100.0], 1000)
@@ -170,5 +172,7 @@ class TestBlockedSolve:
         monkeypatch.setattr(core, "_BLOCK", etas.size)
         whole, unblocked = peak()
         assert blocked < 80e6 < whole
+        assert blocked < 32e6
         np.testing.assert_array_equal(result.q_star, unblocked.q_star)
+        np.testing.assert_array_equal(result.risk, unblocked.risk)
         assert (result.iterations, result.residual) == (unblocked.iterations, unblocked.residual)

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focal_calib.core as core
 import focal_calib.verify as verify
@@ -166,7 +168,9 @@ class TestRunVerify:
     def test_weight_curve_shape_sees_a_maximum_near_zero(self, gamma):
         # the maximum, at tau_oc, lies inside the linear grid's first step
         assert thresholds(gamma).tau_oc < 1e-5
-        assert verify._check_weight_curve_shape([gamma]).passed
+        shape, monotone = verify._check_weight_and_score([gamma])
+        assert shape.name == "weight_curve_shape" and shape.passed
+        assert monotone.name == "score_monotone" and monotone.passed
 
     def test_weight_grid_joins_the_log_grid_at_its_end(self):
         # the log-spaced grid ends exactly where the linear grid starts, so
@@ -181,3 +185,52 @@ class TestRunVerify:
         # one over-confident row per block
         monkeypatch.setattr(core, "_BLOCK", 4)
         assert run_verify(seed=7).format_table() == expected
+
+
+def _one_sign_flip(diffs, noise):
+    # the sign-flip count the weight-curve check took before _rises_then_falls
+    signs = np.sign(diffs[np.abs(diffs) > noise])
+    flips = int(np.count_nonzero(np.diff(signs)))
+    return bool(flips == 1 and signs[0] > 0 and signs[-1] < 0)
+
+
+# zeros, sub-noise values and NaN beside values past the noise; each array
+# is kept as drawn, or made all positive or all negative
+_DIFF = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 1e-4, -1e-4, 1.0, -1.0]), st.floats(-2.0, 2.0)
+)
+_DIFFS = st.tuples(st.lists(_DIFF, min_size=1, max_size=30), st.sampled_from([0, 1, -1])).map(
+    lambda drawn: np.abs(drawn[0]) * drawn[1] if drawn[1] else np.array(drawn[0])
+)
+
+
+class TestWeightAndScore:
+    @settings(max_examples=300, deadline=None)
+    @given(diffs=_DIFFS, noise=st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_rise_and_fall_passes_equal_the_sign_flip_count(self, diffs, noise):
+        assert verify._rises_then_falls(diffs, noise) == _one_sign_flip(diffs, noise)
+
+    def test_samples_cover_the_weight_grid(self):
+        shape, monotone = verify._check_weight_and_score([0.5, 2.0])
+        assert shape.samples == monotone.samples == 2 * verify._weight_grid(100_000).size
+        assert shape.passed and monotone.passed
+
+    @pytest.mark.parametrize(
+        "lo, hi, in_old_grid",
+        # one dip inside the grid the score check once took, linspace(1e-9,
+        # 1 - 1e-6, 100_000); one only in the weight grid's range past it
+        [(0.3, 0.3 + 5e-5, True), (1.0 - 1e-6, 1.0, False)],
+        ids=["inside_the_old_grid", "past_the_old_grid"],
+    )
+    def test_a_dip_in_the_score_map_fails_score_monotone(self, monkeypatch, lo, hi, in_old_grid):
+        log_weight = core._log_weight
+        grid = verify._weight_grid(100_000)
+        assert np.any((grid > lo) & (grid < hi))
+        old_grid = np.linspace(1e-9, 1.0 - 1e-6, 100_000)
+        assert np.any((old_grid > lo) & (old_grid < hi)) == in_old_grid
+        # log w rises by 100 inside the window, so log s = log v - log w dips
+        monkeypatch.setattr(
+            core, "_log_weight", lambda v, g: log_weight(v, g) + 100.0 * ((v > lo) & (v < hi))
+        )
+        _, monotone = verify._check_weight_and_score([0.5, 2.0])
+        assert not monotone.passed and monotone.worst_residual == 1.0
