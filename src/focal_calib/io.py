@@ -214,6 +214,8 @@ def _parse_scores(raw_values, line: int, k: int) -> list[float]:
         )
     out = []
     for value in raw_values:
+        if isinstance(value, bool):
+            raise ParseError(f"score {value!r} is not a number", line)
         try:
             out.append(float(value))
         except (TypeError, ValueError):
@@ -459,6 +461,9 @@ def _csv_rows(dtype, path, start: int, stop: int):
 def _jsonl_rows(path, start: int, stop: int):
     """One byte range of a JSONL file; ``_Declined`` where a line is not plain."""
     data = _read_span(path, start, stop)
+    # a plain row has no letter t or f, so no true or false
+    if b"t" in data or b"f" in data:
+        raise _Declined
     labels = np.empty(_line_ends(data) + 1, dtype=np.int64)
     scores = None
     n = 0

@@ -181,7 +181,7 @@ def nll(preds: PredictionSet, safe: bool = False) -> float:
         label_p = np.clip(label_p, CLAMP_EPS, 1.0)
     elif np.any(label_p == 0.0):
         return float("inf")
-    return float(-np.log(label_p).sum())
+    return float(0.0 - np.log(label_p).sum())  # +0.0, not -0.0, for a zero sum
 
 
 def kld(p, q) -> float:

@@ -24,7 +24,6 @@ default config and 155 MB at ``n_test = 1000000`` (``wait4``, by a launcher).
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -224,10 +223,6 @@ class MlpModel:
     def state(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name).copy() for name in self.PARAM_NAMES}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name in self.PARAM_NAMES:
-            getattr(self, name)[...] = state[name]
-
 
 def _loss_rows(label_p: np.ndarray, gamma) -> np.ndarray:
     return -_focal_terms(label_p.clip(CLAMP_EPS, 1.0), gamma)
@@ -383,7 +378,8 @@ def train_mlp(
     results = []
     for i in range(m):
         model = MlpModel(n_classes, first.hidden, first.seed)
-        model.load_state({name: view[i] for name, view in zip(MlpModel.PARAM_NAMES, params)})
+        for param, view in zip(model.parameters(), params):
+            param[...] = view[i]
         results.append((model, losses[:, i].tolist()))
     return results[0] if isinstance(config, TrainConfig) else results
 
@@ -480,8 +476,7 @@ def run_experiment(
     (temperature fitted on ``val``) and a ``_psi`` panel (recovered at its
     gamma), scored by ``evaluate_panel`` on ``grid`` and ``test`` with
     ``n_bins`` bins.  The runs train in contiguous groups, one per CPU, each
-    a lockstep stack in its own forked process; the groups' warnings are
-    shown once each, group by group, and a divergence raises the
+    a lockstep stack in its own forked process, and a divergence raises the
     ``DivergenceError`` of one stack of all runs (the earliest epoch, then
     the first run).  Returns ``(name, model, loss history, [(variant,
     PanelReport), ...])`` per run, in run order.
@@ -498,19 +493,18 @@ def run_experiment(
     def train_and_score(group):
         # one lockstep stack of the runs, then every panel of each model.  A
         # DivergenceError is returned, not raised, so that the caller can
-        # pick the one a stack of all runs raises; the warnings are shown by
-        # the caller too, in run order rather than as the workers print them
-        with warnings.catch_warnings(record=True) as caught:
+        # pick the one a stack of all runs raises.  Overflow and NaN need no
+        # warning: a non-finite loss raises that error, and a non-finite
+        # score (after a last update that overflows) fails its panel's check
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
                 stack = train_mlp(x_train, y_train, [c for _, c, _ in group], k=dist.k)
             except DivergenceError as exc:
-                outcome = exc
-            else:
-                outcome = [
-                    (name, model, history, score(model, name, config.gamma, focal))
-                    for (name, config, focal), (model, history) in zip(group, stack)
-                ]
-        return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                return exc
+            return [
+                (name, model, history, score(model, name, config.gamma, focal))
+                for (name, config, focal), (model, history) in zip(group, stack)
+            ]
 
     def score(model, name, gamma, focal):
         # one forward per input set; every variant is derived from its
@@ -544,16 +538,9 @@ def run_experiment(
     with _results(train_and_score, groups, n) as results:
         outcomes = list(results)
 
-    # each warning once, as one process training every run shows it
-    shown = set()
-    for _, caught in outcomes:
-        for warning in caught:
-            if warning not in shown:
-                shown.add(warning)
-                warnings.showwarning(*warning)
-    diverged = [outcome for outcome, _ in outcomes if isinstance(outcome, DivergenceError)]
+    diverged = [outcome for outcome in outcomes if isinstance(outcome, DivergenceError)]
     if diverged:
         # the error of one stack of all runs: the earliest epoch, then the
         # first run
         raise min(diverged, key=lambda exc: exc.epoch)
-    return [run for outcome, _ in outcomes for run in outcome]
+    return [run for outcome in outcomes for run in outcome]

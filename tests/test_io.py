@@ -123,6 +123,12 @@ class TestJsonlLoading:
             load_predictions(_write(tmp_path, "p.jsonl", text))
         assert info.value.line == 2
 
+    def test_boolean_score_rejected_with_line(self, tmp_path):
+        text = '{"label": 1, "scores": [0.6, 0.4]}\n{"label": 1, "scores": [true, false]}\n'
+        with pytest.raises(ParseError, match="score True is not a number") as info:
+            load_predictions(_write(tmp_path, "p.jsonl", text))
+        assert info.value.line == 2
+
     def test_inconsistent_k(self, tmp_path):
         text = '{"label": 1, "scores": [0.6, 0.4]}\n{"label": 1, "scores": [0.2, 0.3, 0.5]}\n'
         with pytest.raises(InconsistentKError):
@@ -342,8 +348,8 @@ class TestVectorizedPass:
             "within_tolerance", "negative_zero", "subnormal",
         )]
         + [(FileFormat.JSONL, n) for n in (
-            "plain", "compact", "key_order", "blank_lines", "crlf", "bool_scores",
-            "int_scores", "negative_zero",
+            "plain", "compact", "key_order", "blank_lines", "crlf", "int_scores",
+            "negative_zero",
         )],
     )
     def test_plain_files_take_one_pass(self, tmp_path, fmt, name):
@@ -364,7 +370,7 @@ class TestVectorizedPass:
         + [(FileFormat.JSONL, n) for n in (
             "string_scores", "string_label", "float_label", "bool_label", "ragged",
             "nan_score", "extra_string_field", "extra_number_field", "cr_inside",
-            "form_feed", "bad_sum",
+            "form_feed", "bad_sum", "bool_scores",
         )],
     )
     def test_other_files_go_to_line_by_line_parser(self, tmp_path, fmt, name):

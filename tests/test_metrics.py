@@ -171,6 +171,10 @@ class TestNll:
         preds = _preds([[1.0, 0.0], [0.0, 1.0]], [1, 2])
         assert nll(preds) == 0.0
 
+    def test_certain_prediction_is_positive_zero(self):
+        # -log(1) sums to 0.0, and its negation would print as -0.000000
+        assert math.copysign(1.0, nll(_preds([[1.0, 0.0]], [1]))) == 1.0
+
     def test_hand_values(self):
         assert nll(_preds([[0.5, 0.5]], [1])) == pytest.approx(math.log(2), abs=1e-15)
         two = _preds([[0.5, 0.5], [0.5, 0.5]], [1, 2])
